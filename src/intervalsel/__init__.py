@@ -64,7 +64,6 @@ from .restricted import (
     InstanceState,
     RunReport,
     eager_instance_estimate,
-    new_instance,
     run_on_stream,
     run_restricted,
     wrapper_domain,

@@ -21,7 +21,13 @@ from pathlib import Path
 
 from . import gadget as gadget_mod
 from . import harness, recurrence, windows
-from .geometry import ParseError, alpha, format_intervals, parse_intervals
+from .geometry import (
+    ParseError,
+    ScalarOverflowError,
+    alpha,
+    format_intervals,
+    parse_intervals,
+)
 from .restricted import (
     Domain,
     DomainError,
@@ -196,9 +202,10 @@ def _cmd_run(args) -> int:
         wm = windows.WindowMap(args.delta)
         for iv in stream:
             wm.feed(iv)
-        merged = wm.merge_output()
+        reports = wm.window_reports()
+        merged = windows.merge_reports(reports)
         window_payload = []
-        for rep in wm.window_reports():
+        for rep in reports:
             entry = rep.report.to_dict()
             entry["origin"] = rep.origin
             entry["output_intervals"] = [
@@ -473,6 +480,7 @@ def dispatch(argv) -> int:
         return 2
     except (
         ParseError,
+        ScalarOverflowError,
         DomainError,
         FileNotFoundError,
         harness.ValidationError,

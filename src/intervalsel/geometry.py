@@ -84,7 +84,12 @@ class Scalar:
             frac = Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad coordinate {text!r}: {exc}") from None
-        return cls(frac.numerator, frac.denominator)
+        try:
+            return cls(frac.numerator, frac.denominator)
+        except ScalarOverflowError:
+            raise ScalarOverflowError(
+                f"coordinate {text.strip()!r} outside the 64-bit range"
+            ) from None
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
@@ -319,8 +324,8 @@ def parse_intervals(text: str) -> list[UnitInterval]:
             continue
         try:
             left = Scalar.parse(line)
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+        except (ParseError, ScalarOverflowError) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
         intervals.append(UnitInterval(left))
     return intervals
 

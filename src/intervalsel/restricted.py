@@ -15,12 +15,38 @@ At the end of the stream each split point offers two candidates,
 and the largest over all split points is returned (smallest split point
 wins ties, the R-side candidate preferred, for reproducibility).
 
-Memory grows exponentially with the domain length k: an eagerly built
-recursion tree would hold about 4 * 5**(k-2) instances.  Children here
-are created lazily on first feed, which is observably identical (an
-instance that is never fed outputs the empty set) and keeps small streams
-cheap; the ``instances_touched`` counter reports how many nodes actually
-materialised.
+The specification is a recursion tree, created lazily: a child appears on
+its first feed, which is observably identical to an eager tree (a node
+never fed outputs the empty set).  That tree is not built here.  A node
+receives exactly its *generator's* substream restricted to its own domain,
+so its state is a function of the key ``(generator, a, b)``:
+
+* the root's generator is the root itself;
+* a pass-through child T_L(i) or T_R(i) keeps its parent's generator;
+* a conditional child A_R(i) of a node ``(g, a, b)`` has generator
+  ``("R", g, i, b)``: its slot R_i is the left-most interval of g's
+  substream inside [i, b), whatever ``a`` is.  A_L(i) likewise has
+  ``("L", g, a, i)``.
+
+Nodes with one key share one state, so the tree is a DAG of far fewer
+distinct states (hash-consing, as in the unique table of a BDD).  Each
+generator keeps a table of its states by domain, and the generator
+``("R", g, i, b)`` hangs off the state ``(g, i, b)``, which is unique in
+g's table.  The slot R_i of every node ``(g, a, b)`` is the left-most
+interval ever fed to T_R(i) = ``(g, i, b)``, and L_i the right-most fed to
+T_L(i), so a state stores just those two intervals and its two
+conditional generators.  An arriving interval updates each reachable
+distinct state once.  An update reads only the state's own fields, so only
+the order within a state is observable, and it is the tree's: slot update,
+then the conditional feed judged against the updated slot.
+
+``instances_touched`` and ``peak_stored_intervals`` still report the
+logical tree: a state's subtree count is the sum over its child edges of
+each child's subtree count, memoised per state.  They can be exponentially
+larger than what is held: time and memory scale with the distinct states.
+The eager tree would hold about 4 * 5**(k-2) nodes on a domain of length
+k, and ``run --domain`` still refuses domains longer than 10 without
+``--allow-large``.
 
 A single instance is a mutable single-writer state machine; distinct
 instances are independent and may run concurrently.
@@ -44,8 +70,8 @@ class DomainError(ValueError):
 def eager_instance_estimate(length: int) -> int:
     """Estimated node count of the eagerly built recursion tree, 4 * 5**(k-2).
 
-    Documentation only; the implementation instantiates lazily and reports
-    the exact materialised count per run.
+    Documentation only; every run reports the exact count of the lazily
+    materialised tree as ``instances_touched``.
     """
     if length < 2:
         return 1
@@ -56,10 +82,11 @@ def eager_instance_estimate(length: int) -> int:
 class RunReport:
     """Outcome of one streamed run plus bookkeeping counters.
 
-    ``instances_touched`` counts materialised recursion nodes (the root
-    included); ``peak_stored_intervals`` counts occupied L/R slots over the
-    whole tree.  Slots never empty once filled, so the end-of-stream count
-    equals the peak.
+    ``instances_touched`` counts the nodes of the lazily materialised
+    recursion tree (the root included); ``peak_stored_intervals`` counts
+    occupied L/R slots over that whole tree.  Both are logical counts: the
+    states actually held are shared between tree nodes.  Slots never empty
+    once filled, so the end-of-stream count equals the peak.
     """
 
     output: IndependentSet
@@ -79,22 +106,146 @@ class RunReport:
         }
 
 
-class InstanceState:
-    """One node of the recursive algorithm, confined to an integer domain."""
+class _Generator:
+    """The states that share one generator, keyed by their domain.
 
-    __slots__ = ("domain", "_r", "_l", "_tr", "_ar", "_tl", "_al")
+    ``grid[a - self.a][b - self.a]`` is the state on [a, b), or None until
+    an interval inside [a, b) reaches this generator.  The generator's own
+    domain is [self.a, self.b), and the state on it is its root.
+    """
+
+    __slots__ = ("a", "b", "grid")
+
+    def __init__(self, a: int, b: int):
+        self.a = a
+        self.b = b
+        size = b - a + 1
+        self.grid: list[list[_State | None]] = [[None] * size for _ in range(size)]
+
+    def get(self, a: int, b: int) -> _State | None:
+        return self.grid[a - self.a][b - self.a]
+
+    @property
+    def root(self) -> _State | None:
+        return self.get(self.a, self.b)
+
+
+class _State:
+    """One distinct state: every tree node with this generator and domain.
+
+    ``lo`` and ``hi`` are the left-most and right-most interval it was fed,
+    which are the slots R_a and L_b of each of its tree parents.  ``cr`` and
+    ``cl`` are the generators of those parents' conditional children A_R(a)
+    and A_L(b), created on their first feed.
+    """
+
+    __slots__ = ("gen", "a", "b", "lo", "hi", "cr", "cl")
+
+    def __init__(self, gen: _Generator, a: int, b: int, first: UnitInterval):
+        self.gen = gen
+        self.a = a
+        self.b = b
+        self.lo = first
+        self.hi = first
+        self.cr: _Generator | None = None
+        self.cl: _Generator | None = None
+
+
+def _feed(gen: _Generator, iv: UnitInterval, num: int, den: int, fl: int) -> None:
+    """Update, once each, the states of ``gen`` whose domain contains ``iv``.
+
+    With left endpoint x = num/den and fl = floor(x), the interval lies in
+    [a, b) iff a <= fl and b >= fl + 2; every such state exists in the tree
+    below the generator's root through pass-through children, so all of them
+    receive it.  Per state the slot update comes before the conditional feed,
+    which is judged against the updated slot.
+    """
+    a0 = gen.a
+    k = gen.b - a0
+    grid = gen.grid
+    cols = range(fl + 2 - a0, k + 1)
+    for ai in range(fl - a0 + 1):
+        row = grid[ai]
+        for bj in cols:
+            s = row[bj]
+            if s is None:
+                row[bj] = _State(gen, a0 + ai, a0 + bj, iv)
+                continue
+            lo = s.lo.left
+            if num * lo.den < lo.num * den:
+                s.lo = iv
+            # independent of and further right than R: x > lo + 1.  Only a
+            # state with a pass-through parent (a > a0) is someone's T_R.
+            elif ai and num * lo.den > (lo.num + lo.den) * den:
+                if s.cr is None:
+                    s.cr = _Generator(s.a, s.b)
+                _feed(s.cr, iv, num, den, fl)
+            hi = s.hi.left
+            if num * hi.den > hi.num * den:
+                s.hi = iv
+            # independent of and further left than L: x < hi - 1, for a
+            # state with a pass-through parent (b < b0)
+            elif bj < k and num * hi.den < (hi.num - hi.den) * den:
+                if s.cl is None:
+                    s.cl = _Generator(s.a, s.b)
+                _feed(s.cl, iv, num, den, fl)
+
+
+_NO_NODE = ([], None, None, 0, 0)
+
+
+def _summary(s: _State | None, memo: dict) -> tuple:
+    """Logical subtree of every tree node of state ``s``, memoised per state.
+
+    Returns (best candidate, its split point, its side, tree nodes, occupied
+    slots).  All tree nodes of one state have the same subtree, so the
+    counts are sums over child edges of the children's memoised counts.
+    """
+    if s is None:
+        return _NO_NODE
+    hit = memo.get(s)
+    if hit is not None:
+        return hit
+    g, a, b = s.gen, s.a, s.b
+    grid, off = g.grid, g.a
+    row = grid[a - off]
+    best: list[UnitInterval] = []
+    point, side = a + 1, RIGHT_CANDIDATE
+    nodes, stored = 1, 0
+    for i in range(a + 1, b):
+        tl = row[i - off]
+        tr = grid[i - off][b - off]
+        t_l = _summary(tl, memo)
+        t_r = _summary(tr, memo)
+        a_l = _summary(tl and tl.cl and tl.cl.root, memo)
+        a_r = _summary(tr and tr.cr and tr.cr.root, memo)
+        nodes += t_l[3] + t_r[3] + a_l[3] + a_r[3]
+        # each pass-through child's first feed filled the slot R_i or L_i
+        stored += (tl is not None) + (tr is not None)
+        stored += t_l[4] + t_r[4] + a_l[4] + a_r[4]
+
+        # OUT(T_L(i)) + R_i + OUT(A_R(i)), then OUT(A_L(i)) + L_i + OUT(T_R(i))
+        cand = t_l[0] + [tr.lo] + a_r[0] if tr is not None else t_l[0]
+        if len(cand) > len(best):
+            best, point, side = cand, i, RIGHT_CANDIDATE
+        cand = a_l[0] + [tl.hi] + t_r[0] if tl is not None else t_r[0]
+        if len(cand) > len(best):
+            best, point, side = cand, i, LEFT_CANDIDATE
+    hit = memo[s] = (best, point, side, nodes, stored)
+    return hit
+
+
+class InstanceState:
+    """The recursive algorithm on one integer domain, as a DAG of shared states."""
+
+    __slots__ = ("domain", "_gen")
 
     def __init__(self, domain: Domain):
         self.domain = domain
-        self._r: dict[int, UnitInterval] = {}
-        self._l: dict[int, UnitInterval] = {}
-        self._tr: dict[int, InstanceState] = {}
-        self._ar: dict[int, InstanceState] = {}
-        self._tl: dict[int, InstanceState] = {}
-        self._al: dict[int, InstanceState] = {}
+        self._gen = _Generator(domain.a, domain.b)
 
     def feed(self, interval: UnitInterval) -> None:
-        """Route one arriving interval through every split point.
+        """Route one arriving interval through every reachable state.
 
         Raises DomainError unless the interval lies inside this domain;
         recursive feeds below satisfy containment by construction and skip
@@ -102,116 +253,24 @@ class InstanceState:
         """
         if not contained_in(interval, self.domain):
             raise DomainError(f"{interval} not contained in {self.domain}")
-        self._feed(interval)
-
-    def _feed(self, iv: UnitInterval) -> None:
-        # Containment at an inner node reduces to integer tests against the
-        # floor of the left endpoint: with a <= x and x+1 < b guaranteed,
-        # I lies in [i, b) iff i <= floor(x), and in [a, i) iff i >= floor(x)+2.
-        a = self.domain.a
-        b = self.domain.b
-        left = iv.left
-        num = left.num
-        den = left.den
-        fl = num // den
-
-        for i in range(a + 1, fl + 1):
-            child = self._tr.get(i)
-            if child is None:
-                child = InstanceState(Domain(i, b))
-                self._tr[i] = child
-            child._feed(iv)
-            r = self._r.get(i)
-            if r is None or left < r.left:
-                self._r[i] = iv
-                r = iv
-            rl = r.left
-            # independent of and further right than the slot: x > R_i + 1
-            if num * rl.den > (rl.num + rl.den) * den:
-                child = self._ar.get(i)
-                if child is None:
-                    child = InstanceState(Domain(i, b))
-                    self._ar[i] = child
-                child._feed(iv)
-
-        for i in range(fl + 2, b):
-            child = self._tl.get(i)
-            if child is None:
-                child = InstanceState(Domain(a, i))
-                self._tl[i] = child
-            child._feed(iv)
-            l = self._l.get(i)
-            if l is None or left > l.left:
-                self._l[i] = iv
-                l = iv
-            ll = l.left
-            # independent of and further left than the slot: x < L_i - 1
-            if num * ll.den < (ll.num - ll.den) * den:
-                child = self._al.get(i)
-                if child is None:
-                    child = InstanceState(Domain(a, i))
-                    self._al[i] = child
-                child._feed(iv)
-
-    def _best(self) -> tuple[list[UnitInterval], int | None, str | None]:
-        best: list[UnitInterval] = []
-        best_point: int | None = None
-        best_side: str | None = None
-        if self.domain.length >= 2:
-            best_point = self.domain.a + 1
-            best_side = RIGHT_CANDIDATE
-        for i in self.domain.split_points():
-            tl = self._tl.get(i)
-            cand = tl._best()[0] if tl is not None else []
-            r = self._r.get(i)
-            if r is not None:
-                cand = cand + [r]
-            ar = self._ar.get(i)
-            if ar is not None:
-                cand = cand + ar._best()[0]
-            if len(cand) > len(best):
-                best, best_point, best_side = cand, i, RIGHT_CANDIDATE
-
-            al = self._al.get(i)
-            cand = al._best()[0] if al is not None else []
-            l = self._l.get(i)
-            if l is not None:
-                cand = cand + [l]
-            tr = self._tr.get(i)
-            if tr is not None:
-                cand = cand + tr._best()[0]
-            if len(cand) > len(best):
-                best, best_point, best_side = cand, i, LEFT_CANDIDATE
-        return best, best_point, best_side
+        left = interval.left
+        _feed(self._gen, interval, left.num, left.den, left.num // left.den)
 
     def output(self) -> RunReport:
         """Largest candidate over all split points, validated as independent."""
-        best, point, side = self._best()
+        root = self._gen.root
+        if root is None:
+            point = self.domain.a + 1 if self.domain.length >= 2 else None
+            side = RIGHT_CANDIDATE if point is not None else None
+            return RunReport(IndependentSet(), point, side, 1, 0)
+        best, point, side, nodes, stored = _summary(root, {})
         return RunReport(
             output=IndependentSet(best),
             winning_split_point=point,
             winning_side=side,
-            instances_touched=self._count_instances(),
-            peak_stored_intervals=self._count_stored(),
+            instances_touched=nodes,
+            peak_stored_intervals=stored,
         )
-
-    def _count_instances(self) -> int:
-        total = 1
-        for children in (self._tr, self._ar, self._tl, self._al):
-            for child in children.values():
-                total += child._count_instances()
-        return total
-
-    def _count_stored(self) -> int:
-        total = len(self._r) + len(self._l)
-        for children in (self._tr, self._ar, self._tl, self._al):
-            for child in children.values():
-                total += child._count_stored()
-        return total
-
-
-def new_instance(domain: Domain) -> InstanceState:
-    return InstanceState(domain)
 
 
 def run_on_stream(domain: Domain, stream: Iterable[UnitInterval]) -> RunReport:

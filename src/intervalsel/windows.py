@@ -14,6 +14,7 @@ are independent of one another.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .geometry import IndependentSet, UnitInterval, max_independent_set
 from .restricted import InstanceState, RunReport, wrapper_domain
@@ -74,18 +75,22 @@ class WindowMap:
         ]
 
     def merge_output(self) -> IndependentSet:
-        """Translate every window's output back and select a maximum subset.
+        """Merge of every active window's current output."""
+        return merge_reports(self.window_reports())
 
-        The pooled candidates number at most (delta - 1) * alpha; duplicates
-        from overlapping windows are collapsed before the exact greedy pass.
-        """
-        pool: dict = {}
-        for origin in self.active_origins:
-            report = self._active[origin].output()
-            for iv in report.output:
-                back = iv.translate(origin)
-                pool.setdefault(back.left, back)
-        return max_independent_set(list(pool.values()))
+
+def merge_reports(reports: Iterable[WindowReport]) -> IndependentSet:
+    """Translate every window's output back and select a maximum subset.
+
+    The pooled candidates number at most (delta - 1) * alpha; duplicates
+    from overlapping windows are collapsed before the exact greedy pass.
+    """
+    pool: dict = {}
+    for rep in reports:
+        for iv in rep.report.output:
+            back = iv.translate(rep.origin)
+            pool.setdefault(back.left, back)
+    return max_independent_set(list(pool.values()))
 
 
 def run_windowed(delta: int, stream) -> IndependentSet:

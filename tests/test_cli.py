@@ -129,6 +129,23 @@ class TestRun:
         assert code == 0
         assert json.loads(out)["output_size"] == 2
 
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            # overflows while parsing, and in the window translation
+            (["--domain", "-1,5"], "1e400"),
+            (["--unrestricted", "--delta", "4"], "1/9223372036854775807"),
+        ],
+    )
+    def test_coordinate_overflow_is_a_data_error(self, args, line, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text(line + "\n")
+        code, out, err = run_cli(["run", *args, "--input", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "64-bit range" in err
+        assert "Traceback" not in err
+
     def test_domain_and_unrestricted_conflict(self, interval_file, capsys):
         code, _, _ = run_cli(
             [

@@ -13,7 +13,14 @@ from intervalsel.gadget import (
     wing_after_probability,
     wing_gap_inequality_holds,
 )
-from intervalsel.geometry import IndependentSet, alpha, intersects, max_independent_set
+from intervalsel.geometry import (
+    IndependentSet,
+    Scalar,
+    UnitInterval,
+    alpha,
+    intersects,
+    max_independent_set,
+)
 from intervalsel.rng import SplitMix64, derive
 
 from brute import CHI2_CRIT_999
@@ -112,6 +119,23 @@ class TestVerify:
         )
         with pytest.raises(GadgetInvariantError):
             verify(broken)
+
+    def test_verify_rejects_tampered_clique_member(self):
+        import dataclasses
+
+        g = random_gadget(8, SplitMix64(SEED))
+        for k in (0, g.index, g.t - 1):
+            others = [iv.left for j, iv in enumerate(g.clique) if j != k]
+            # just out of reach of one other member, on either side
+            for left in (
+                min(others) + Scalar(1) + Scalar(1, 1 << 20),
+                max(others) - Scalar(1) - Scalar(1, 1 << 20),
+            ):
+                clique = list(g.clique)
+                clique[k] = UnitInterval(left, clique[k].label)
+                broken = dataclasses.replace(g, clique=tuple(clique))
+                with pytest.raises(GadgetInvariantError, match="fail to intersect"):
+                    verify(broken)
 
 
 class TestWingProbability:

@@ -1,0 +1,75 @@
+"""The hash-consed DAG against the explicit recursion tree it replaces.
+
+Every field of the report must agree, counters included, after every feed:
+``instances_touched`` and ``peak_stored_intervals`` are logical tree counts
+that the DAG derives without building the tree.
+"""
+
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from intervalsel import windows
+from intervalsel.geometry import Scalar, UnitInterval
+from intervalsel.restricted import InstanceState, wrapper_domain
+from intervalsel.windows import WindowMap, run_windowed
+
+from reference_tree import InstanceState as TreeInstanceState
+
+DENOMINATORS = (1, 2, 3, 4, 1 << 20)
+
+
+@st.composite
+def streams(draw, max_delta=7, max_size=8, span=0):
+    """(delta, stream): unit intervals inside [0, delta + span), mixed denominators."""
+    delta = draw(st.integers(2, max_delta))
+    width = delta + span - 1  # left endpoints in [0, width) keep [x, x+1] inside
+    lefts = st.sampled_from(DENOMINATORS).flatmap(
+        lambda den: st.integers(0, width * den - 1).map(lambda num: Scalar(num, den))
+    )
+    return delta, draw(st.lists(lefts.map(UnitInterval), max_size=max_size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams())
+def test_reports_match_after_every_feed(case):
+    delta, stream = case
+    dag = InstanceState(wrapper_domain(delta))
+    tree = TreeInstanceState(wrapper_domain(delta))
+    assert dag.output() == tree.output()
+    for iv in stream:
+        dag.feed(iv)
+        tree.feed(iv)
+        assert dag.output() == tree.output()
+
+
+@settings(max_examples=60, deadline=None)
+@given(streams(max_delta=5, max_size=7, span=4))
+def test_windowed_runs_match(case):
+    delta, stream = case
+
+    def run():
+        wm = WindowMap(delta)
+        for iv in stream:
+            wm.feed(iv)
+        return wm.window_reports(), run_windowed(delta, stream)
+
+    dag = run()
+    with mock.patch.object(windows, "InstanceState", TreeInstanceState):
+        tree = run()
+    assert dag == tree
+
+
+def test_dense_stream_counts_match():
+    # twelve intervals on delta 6, overlapping and disjoint: 3678 tree nodes
+    # held as 640 distinct states
+    nums = (9, 0, 17, 5, 13, 1, 19, 8, 3, 15, 11, 6)
+    stream = [UnitInterval(Scalar(n, 4)) for n in nums]
+    dag = InstanceState(wrapper_domain(6))
+    tree = TreeInstanceState(wrapper_domain(6))
+    for iv in stream:
+        dag.feed(iv)
+        tree.feed(iv)
+    report = dag.output()
+    assert report == tree.output()
+    assert report.instances_touched > 1000

@@ -6,8 +6,8 @@ import pytest
 from intervalsel.geometry import Domain, UnitInterval, alpha
 from intervalsel.restricted import (
     DomainError,
+    InstanceState,
     eager_instance_estimate,
-    new_instance,
     run_on_stream,
     run_restricted,
     wrapper_domain,
@@ -21,19 +21,19 @@ u = UnitInterval.at
 
 class TestInstanceBasics:
     def test_length_one_domain_has_no_split_points(self):
-        inst = new_instance(Domain(0, 1))
+        inst = InstanceState(Domain(0, 1))
         assert len(inst.output().output) == 0
 
     def test_degenerate_domain_rejected(self):
         with pytest.raises(ValueError):
-            new_instance(Domain(0, 0))
+            InstanceState(Domain(0, 0))
 
     def test_wrapper_domain(self):
         assert wrapper_domain(6) == Domain(-1, 7)
         assert list(wrapper_domain(6).split_points()) == [0, 1, 2, 3, 4, 5, 6]
 
     def test_fresh_instance_is_lazy_and_empty(self):
-        rep = new_instance(Domain(-1, 7)).output()
+        rep = InstanceState(Domain(-1, 7)).output()
         assert len(rep.output) == 0
         assert rep.instances_touched == 1
         assert rep.peak_stored_intervals == 0
@@ -41,7 +41,7 @@ class TestInstanceBasics:
         assert rep.winning_side == "right-candidate"
 
     def test_feed_outside_domain(self):
-        inst = new_instance(Domain(0, 3))
+        inst = InstanceState(Domain(0, 3))
         with pytest.raises(DomainError):
             inst.feed(u(5))
         with pytest.raises(DomainError):
@@ -53,25 +53,31 @@ class TestInstanceBasics:
 
 
 class TestFeedTraces:
+    # The root's pass-through child T_R(i) is the state on [i, b) and T_L(i)
+    # the state on [a, i); the slot R_i is the left-most interval T_R(i) was
+    # fed, L_i the right-most fed to T_L(i), and A_R(i) hangs off T_R(i).
+
     def test_first_arrival_lands_in_matching_slots(self):
-        inst = new_instance(Domain(-1, 3))
+        inst = InstanceState(Domain(-1, 3))
         inst.feed(u(0))
-        assert str(inst._r[0].left) == "0"
-        assert 0 in inst._tr and 2 in inst._tl
-        assert str(inst._l[2].left) == "0"
+        t_r0, t_l2 = inst._gen.get(0, 3), inst._gen.get(-1, 2)
+        assert t_r0 is not None and t_l2 is not None
+        assert str(t_r0.lo.left) == "0"
+        assert str(t_l2.hi.left) == "0"
 
     def test_disjoint_pair_feeds_conditional_child(self):
-        inst = new_instance(Domain(-1, 5))
+        inst = InstanceState(Domain(-1, 5))
         inst.feed(u(0))
         inst.feed(u(2))
-        assert 0 in inst._ar  # second interval is independent of and right of R_0
+        # second interval is independent of and right of R_0
+        assert inst._gen.get(0, 5).cr is not None
         assert len(inst.output().output) == 2
 
     def test_overlapping_pair_is_not_propagated(self):
-        inst = new_instance(Domain(-1, 5))
+        inst = InstanceState(Domain(-1, 5))
         inst.feed(u(0))
         inst.feed(u("1/4"))
-        assert 0 not in inst._ar
+        assert inst._gen.get(0, 5).cr is None
         assert len(inst.output().output) == 1
 
 
@@ -174,7 +180,7 @@ class TestAlgorithmProperties:
 
 class TestReportCounters:
     def test_counters_grow_with_feeds(self):
-        inst = new_instance(Domain(-1, 5))
+        inst = InstanceState(Domain(-1, 5))
         assert inst.output().instances_touched == 1
         inst.feed(u(0))
         mid = inst.output()
