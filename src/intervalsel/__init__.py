@@ -30,8 +30,6 @@ from .geometry import (
     alpha,
     contained_in,
     format_intervals,
-    further_left,
-    further_right,
     independent,
     intersects,
     max_independent_set,

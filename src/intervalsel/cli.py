@@ -53,10 +53,8 @@ def _fmt(value) -> str:
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
-        value = float(value)
-    if isinstance(value, float):
-        return float(f"{value:.{SIGNIFICANT_DIGITS}g}")
+    if isinstance(value, (Fraction, float)):
+        return float(_fmt(value))
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -21,13 +21,15 @@ uniform random order of the finished instance when the bijection is drawn
 uniformly.
 
 Simulation samples are independent: sample k draws everything from
-``derive(seed, k)`` and may run in parallel.
+``derive(seed, k)``, so ``rng.map_trials`` may run blocks of samples in
+parallel.  A block counts samples per outcome (output size, bit recovered
+correctly, target built privately), and the protocol statistics are read
+off the merged counts.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
@@ -39,7 +41,7 @@ from .geometry import (
     intersects,
     max_independent_set,
 )
-from .rng import SplitMix64, derive, fisher_yates
+from .rng import SplitMix64, derive, fisher_yates, map_trials
 from .windows import run_windowed
 
 MIN_T = 3
@@ -435,31 +437,23 @@ def _run_sample(t: int, algorithm: Algorithm, rng: SplitMix64) -> tuple[int, boo
     return size, correct, g.alice_built_target
 
 
-def _aggregate_samples(
-    t: int, algorithm: Algorithm, seed: int, start: int, stop: int
-) -> tuple[int, int, int, int, int, int, int, int]:
-    successes = size_sum = triples = 0
-    a_n = a_succ = a_size = 0
-    b_succ = b_size = 0
-    for k in range(start, stop):
-        size, correct, private = _run_sample(t, algorithm, derive(seed, k))
-        successes += correct
-        size_sum += size
-        triples += size == 3
-        if private:
-            a_n += 1
-            a_succ += correct
-            a_size += size
-        else:
-            b_succ += correct
-            b_size += size
-    return successes, size_sum, triples, a_n, a_succ, a_size, b_succ, b_size
-
-
 def _sample_block(
-    t: int, algorithm_name: str, seed: int, start: int, stop: int
-) -> tuple[int, int, int, int, int, int, int, int]:
-    return _aggregate_samples(t, resolve_algorithm(algorithm_name), seed, start, stop)
+    t: int, algorithm: Union[str, Algorithm], seed: int, start: int, stop: int
+) -> Counter:
+    """Count of samples per (output size, bit correct, target built privately)."""
+    fn = resolve_algorithm(algorithm) if isinstance(algorithm, str) else algorithm
+    return Counter(_run_sample(t, fn, derive(seed, k)) for k in range(start, stop))
+
+
+def _branch(outcomes: Counter, private: bool) -> BranchStats:
+    """Totals over the samples whose target was (or was not) built privately."""
+    samples = successes = size_sum = 0
+    for (size, correct, built_privately), n in outcomes.items():
+        if built_privately == private:
+            samples += n
+            successes += correct * n
+            size_sum += size * n
+    return BranchStats(samples, successes, size_sum)
 
 
 def simulate_protocol(
@@ -485,40 +479,17 @@ def simulate_protocol(
     if samples < 1:
         raise ValueError("need at least one sample")
 
-    if isinstance(algorithm, str) and threads > 1 and samples >= 4:
-        chunk = max(1, math.ceil(samples / (threads * 4)))
-        ranges = [(s, min(s + chunk, samples)) for s in range(0, samples, chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            blocks = list(
-                pool.map(
-                    _sample_block,
-                    [t] * len(ranges),
-                    [algorithm] * len(ranges),
-                    [seed] * len(ranges),
-                    [s for s, _ in ranges],
-                    [e for _, e in ranges],
-                )
-            )
-    else:
-        fn = resolve_algorithm(algorithm) if isinstance(algorithm, str) else algorithm
-        blocks = [_aggregate_samples(t, fn, seed, 0, samples)]
-
-    successes = sum(b[0] for b in blocks)
-    size_sum = sum(b[1] for b in blocks)
-    triples = sum(b[2] for b in blocks)
-    a_n = sum(b[3] for b in blocks)
-    a_succ = sum(b[4] for b in blocks)
-    a_size = sum(b[5] for b in blocks)
-    b_succ = sum(b[6] for b in blocks)
-    b_size = sum(b[7] for b in blocks)
-    b_n = samples - a_n
-
+    # A callable may not pickle, so only a registry name runs in parallel.
+    workers = threads if isinstance(algorithm, str) else 1
+    outcomes = map_trials(_sample_block, (t, algorithm, seed), samples, workers)
+    alice = _branch(outcomes, True)
+    bob = _branch(outcomes, False)
     return ProtocolStats(
         t=t,
         samples=samples,
-        successes=successes,
-        size_sum=size_sum,
-        triple_count=triples,
-        alice_branch=BranchStats(a_n, a_succ, a_size),
-        bob_branch=BranchStats(b_n, b_succ, b_size),
+        successes=alice.successes + bob.successes,
+        size_sum=alice.size_sum + bob.size_sum,
+        triple_count=sum(n for (size, _, _), n in outcomes.items() if size == 3),
+        alice_branch=alice,
+        bob_branch=bob,
     )

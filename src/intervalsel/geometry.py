@@ -162,7 +162,6 @@ class Scalar:
         return f"Scalar({self.num}, {self.den})"
 
 
-ZERO = Scalar(0)
 ONE = Scalar(1)
 
 
@@ -226,15 +225,6 @@ def intersects(i: UnitInterval, j: UnitInterval) -> bool:
 
 def independent(i: UnitInterval, j: UnitInterval) -> bool:
     return not intersects(i, j)
-
-
-def further_left(i: UnitInterval, j: UnitInterval) -> bool:
-    """Strictly smaller left endpoint; the mirror test is further_right."""
-    return i.left < j.left
-
-
-def further_right(i: UnitInterval, j: UnitInterval) -> bool:
-    return i.left > j.left
 
 
 def contained_in(i: UnitInterval, d: Domain) -> bool:

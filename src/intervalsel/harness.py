@@ -2,15 +2,16 @@
 
 Trials are independent: trial k draws all of its randomness from
 ``derive(seed, k + 1)`` (index 0 is reserved for instance generation), so
-results do not depend on execution order or worker count.  Aggregation is
-over integer output sizes (count, sum, sum of squares, min, max), which
-merges associatively and exactly.
+results do not depend on execution order or worker count.  A block of
+trials returns the count of trials per output size; ``rng.map_trials``
+merges blocks by adding counts, which is exact, and the summary statistics
+are read off the merged histogram.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -27,7 +28,7 @@ from .geometry import (
 )
 from .recurrence import build_out_table
 from .restricted import run_restricted
-from .rng import SplitMix64, derive, fisher_yates
+from .rng import SplitMix64, derive, fisher_yates, map_trials
 from .windows import run_windowed
 
 MAX_EXHAUSTIVE = 8
@@ -201,20 +202,16 @@ def _trial_block(
     algorithm: AlgorithmName,
     start: int,
     stop: int,
-) -> tuple[int, int, int, int, int]:
-    """Aggregate (count, sum, sum of squares, min, max) over a trial range."""
+) -> Counter:
+    """Count of trials per output size over a trial range."""
     intervals = instance_from_spec(spec)
     ceiling = alpha(intervals)
-    total = total_sq = 0
-    lo, hi = None, None
+    sizes = Counter()
     for k in range(start, stop):
         order = fisher_yates(intervals, derive(spec.seed, k + 1))
-        size = _validate_output(_run_algorithm(algorithm, spec.delta, order), ceiling)
-        total += size
-        total_sq += size * size
-        lo = size if lo is None else min(lo, size)
-        hi = size if hi is None else max(hi, size)
-    return stop - start, total, total_sq, lo or 0, hi or 0
+        output = _run_algorithm(algorithm, spec.delta, order)
+        sizes[_validate_output(output, ceiling)] += 1
+    return sizes
 
 
 def monte_carlo(
@@ -232,28 +229,10 @@ def monte_carlo(
     if trials < 1:
         raise ValueError("need at least one trial")
 
-    blocks: list[tuple[int, int, int, int, int]]
-    if threads > 1 and trials >= 4:
-        chunk = max(1, math.ceil(trials / (threads * 4)))
-        ranges = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            blocks = list(
-                pool.map(
-                    _trial_block,
-                    [spec] * len(ranges),
-                    [algorithm] * len(ranges),
-                    [s for s, _ in ranges],
-                    [e for _, e in ranges],
-                )
-            )
-    else:
-        blocks = [_trial_block(spec, algorithm, 0, trials)]
-
-    count = sum(b[0] for b in blocks)
-    total = sum(b[1] for b in blocks)
-    total_sq = sum(b[2] for b in blocks)
-    lo = min(b[3] for b in blocks)
-    hi = max(b[4] for b in blocks)
+    sizes = map_trials(_trial_block, (spec, algorithm), trials, threads)
+    count = sum(sizes.values())
+    total = sum(size * n for size, n in sizes.items())
+    total_sq = sum(size * size * n for size, n in sizes.items())
 
     intervals = instance_from_spec(spec)
     a = alpha(intervals)
@@ -266,8 +245,8 @@ def monte_carlo(
         trials=count,
         mean=mean,
         std=std,
-        min_size=lo,
-        max_size=hi,
+        min_size=min(sizes),
+        max_size=max(sizes),
         alpha=a,
         empirical_factor=mean / a if a else 0.0,
         predicted_bound=bound,

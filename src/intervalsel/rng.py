@@ -7,9 +7,15 @@ trials replay bit-identically on any platform or thread count.
 Substreams are derived, not advanced: ``derive(seed, k)`` seeds a fresh
 generator from mix64(seed XOR mix64(k + 1)), so trial k's randomness is a
 pure function of (seed, k) and independent of evaluation order.
+``map_trials`` relies on exactly that to split a run into blocks of trials
+and evaluate them on any number of worker processes.
 """
 
 from __future__ import annotations
+
+import os
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -52,6 +58,28 @@ class SplitMix64:
 def derive(seed: int, index: int) -> SplitMix64:
     """Independent substream k of a master seed; pure in (seed, index)."""
     return SplitMix64(mix64((seed & MASK64) ^ mix64(index + 1)))
+
+
+def map_trials(block, args: tuple, n: int, threads: int) -> Counter:
+    """Outcome counts of trials 0..n-1, summed over blocks of trials.
+
+    ``block(*args, start, stop)`` must return a Counter of the outcomes of
+    trials start..stop-1, each drawn only from its own ``derive`` substream,
+    so that every split of the range gives the same total.  Runs in this
+    process when ``threads <= 1`` or ``n < 4``; otherwise splits the range
+    into about ``4 * threads`` blocks and maps them over a process pool of
+    min(threads, blocks, CPU count) workers, which needs ``block`` and
+    ``args`` to be picklable.
+    """
+    if threads <= 1 or n < 4:
+        return block(*args, 0, n)
+    chunk = -(-n // (threads * 4))
+    starts = range(0, n, chunk)
+    stops = [min(s + chunk, n) for s in starts]
+    columns = [[arg] * len(starts) for arg in args]
+    workers = min(threads, len(starts), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(block, *columns, starts, stops), Counter())
 
 
 def fisher_yates(items, rng: SplitMix64) -> list:

@@ -37,14 +37,13 @@ class WindowReport:
 class WindowMap:
     """Lazily activated length-delta windows, each backed by one instance."""
 
-    __slots__ = ("delta", "_active", "_fed_count")
+    __slots__ = ("delta", "_active")
 
     def __init__(self, delta: int):
         if delta < 2:
             raise ValueError("delta must be at least 2")
         self.delta = delta
         self._active: dict[int, InstanceState] = {}
-        self._fed_count = 0
 
     @property
     def active_origins(self) -> list[int]:
@@ -54,10 +53,6 @@ class WindowMap:
     def active_count(self) -> int:
         return len(self._active)
 
-    @property
-    def fed_count(self) -> int:
-        return self._fed_count
-
     def feed(self, interval: UnitInterval) -> None:
         """Activate the containing windows and feed the translated interval."""
         for origin in windows_containing(interval, self.delta):
@@ -66,7 +61,6 @@ class WindowMap:
                 inst = InstanceState(wrapper_domain(self.delta))
                 self._active[origin] = inst
             inst.feed(interval.translate(-origin))
-        self._fed_count += 1
 
     def window_reports(self) -> list[WindowReport]:
         return [

@@ -298,11 +298,13 @@ class TestByteDeterminism:
         assert first.stdout == second.stdout
 
     def test_thread_count_does_not_change_output(self):
-        base = [
-            sys.executable, "-m", "intervalsel",
-            "gadget", "--t", "5", "--simulate", "--samples", "120",
-            "--algorithm", "oracle", "--seed", SEED,
-        ]
-        one = subprocess.run(base + ["--threads", "1"], capture_output=True, check=True)
-        four = subprocess.run(base + ["--threads", "4"], capture_output=True, check=True)
-        assert one.stdout == four.stdout
+        for args in (
+            ["gadget", "--t", "5", "--simulate", "--samples", "120",
+             "--algorithm", "oracle"],
+            ["montecarlo", "--kind", "independent", "--alpha", "3",
+             "--delta", "5", "--trials", "41"],
+        ):
+            base = [sys.executable, "-m", "intervalsel", *args, "--seed", SEED]
+            one = subprocess.run(base + ["--threads", "1"], capture_output=True, check=True)
+            four = subprocess.run(base + ["--threads", "4"], capture_output=True, check=True)
+            assert one.stdout == four.stdout

@@ -200,7 +200,9 @@ class TestProtocol:
                 [iv for iv in stream if iv.label in ("wing:L", "wing:R")]
             )
 
+        # A local function cannot be pickled, so threads=2 must run serially.
         stats = simulate_protocol(5, 50, wings_only, seed=SEED)
+        assert stats == simulate_protocol(5, 50, wings_only, seed=SEED, threads=2)
         assert stats.mean_output_size == 2.0
         assert stats.triple_count == 0
 

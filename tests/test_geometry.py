@@ -13,8 +13,6 @@ from intervalsel.geometry import (
     alpha,
     contained_in,
     format_intervals,
-    further_left,
-    further_right,
     intersects,
     max_independent_set,
     parse_intervals,
@@ -82,12 +80,6 @@ class TestPredicates:
         assert not intersects(u(0), u("3/2"))
         assert intersects(u(0), u(0))
 
-    def test_further_left_examples(self):
-        assert further_left(u(0), u("1/2"))
-        assert not further_left(u("1/2"), u("1/2"))
-        assert not further_left(u(1), u(0))
-        assert further_right(u(1), u(0))
-
     def test_contained_in_examples(self):
         assert contained_in(u("3/10"), Domain(0, 2))
         assert not contained_in(u(0), Domain(0, 1))  # no unit interval fits
@@ -97,7 +89,6 @@ class TestPredicates:
     def test_intersects_symmetric(self, x, y):
         a, b = u(x), u(y)
         assert intersects(a, b) == intersects(b, a)
-        assert not (further_left(a, b) and further_left(b, a))
 
     @given(x=small_rational, y=small_rational)
     def test_intersection_is_left_distance(self, x, y):

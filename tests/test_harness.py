@@ -1,7 +1,9 @@
+import os
 from fractions import Fraction
 
 import pytest
 
+from intervalsel import rng as rng_mod
 from intervalsel.geometry import UnitInterval, alpha, max_independent_set
 from intervalsel.harness import (
     InstanceSpec,
@@ -166,10 +168,34 @@ class TestMonteCarlo:
         assert summary.min_size >= 1
 
     def test_parallel_matches_serial(self):
+        # 3 trials take the serial fallback; 201 split into uneven blocks.
         spec = InstanceSpec(kind="independent", delta=4, seed=SEED, alpha=3)
-        serial = monte_carlo(spec, 200, threads=1)
-        parallel = monte_carlo(spec, 200, threads=4)
-        assert serial == parallel
+        for trials in (3, 201):
+            serial = monte_carlo(spec, trials, threads=1)
+            parallel = monte_carlo(spec, trials, threads=4)
+            assert serial == parallel
+
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        workers = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *columns):
+                return map(fn, *columns)
+
+        monkeypatch.setattr(rng_mod, "ProcessPoolExecutor", InProcessPool)
+        spec = InstanceSpec(kind="independent", delta=4, seed=SEED, alpha=3)
+        huge = monte_carlo(spec, 40, threads=1 << 40)
+        assert workers and workers[0] <= (os.cpu_count() or 1)
+        assert huge == monte_carlo(spec, 40, threads=1)
 
     def test_needs_a_trial(self):
         spec = InstanceSpec(kind="independent", delta=4, seed=SEED, alpha=2)
