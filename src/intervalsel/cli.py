@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -104,6 +105,8 @@ def _cmd_dp(args) -> int:
         raise UsageError("dp needs --delta or --sweep")
     if lo < 2:
         raise UsageError("delta must be at least 2")
+    if hi < lo:
+        raise UsageError("need 2 <= delta_min <= delta_max")
 
     _echo_config(
         {
@@ -114,7 +117,16 @@ def _cmd_dp(args) -> int:
             "format": args.format,
         }
     )
-    curve = recurrence.sweep(lo, hi, exact_until=args.exact_until)
+    start = time.perf_counter()
+    table = recurrence.build_out_table(hi - 1, exact_until=args.exact_until)
+    metrics = {
+        "x_max": table.x_max,
+        "build_s": time.perf_counter() - start,
+        "max_rel_disagreement": table.max_rel_disagreement,
+        "ratio_violations": len(table.ratio_violations),
+    }
+    print("metrics:", json.dumps(_jsonable(metrics), sort_keys=True), file=sys.stderr)
+    curve = recurrence.sweep(lo, hi, table=table)
     for note in curve.notes:
         print("note:", note, file=sys.stderr)
     if not curve.overall_monotone:
@@ -479,6 +491,7 @@ def dispatch(argv) -> int:
     except (
         ParseError,
         ScalarOverflowError,
+        MemoryError,
         DomainError,
         FileNotFoundError,
         harness.ValidationError,

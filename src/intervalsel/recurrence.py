@@ -15,6 +15,24 @@ two lanes are compared on their overlap and must agree to 1e-9 relative
 error.  These are lower bounds throughout: the derived approximation
 factors certify "at least this good", never exact performance.
 
+The floating lane does not evaluate the x maxima directly.  With
+a_j = v(j) + v(x-2-j) for j < x-1 and a_{x-1} = v(x-1), the two branches
+of term i = j+1 are a_j and a_{x-1-j}, so by max(a, b) = (a+b+|a-b|)/2
+
+    sum_j max(a_j, a_{x-1-j}) = 2 P(x-2) + v(x-1)
+                                + sum_{j < x//2} |D(j) - D(x-1-j)|
+
+where P is the prefix sum of v and D(k) = v(k) - v(k-1), D(0) = 0, the
+increments, because a_j - a_{x-1-j} = D(j) - D(x-1-j).  Each step is
+then one subtraction, one absolute value and one sum over x//2 cells.
+The increments are exact in floating point (Sterbenz), as neighbouring
+table values lie within a factor 2 of each other.  The running P is
+Neumaier-compensated: a plain running sum drifts to ~8e-16 relative
+error by x = 1200, against ~3e-16 for the direct evaluation of the
+maxima and for the compensated form (measured against a 50-digit
+decimal evaluation in the tests).  The exact lane keeps the direct
+form, so the 1e-9 cross-check compares two different formulations.
+
 The restricted-domain factor for a window width delta is
 min over alpha in {1..delta-1} of out_lb(alpha)/alpha, and the overall
 (unrestricted) factor multiplies that by the window loss (delta-1)/delta.
@@ -88,18 +106,35 @@ def _exact_lane(x_max: int) -> list[Fraction]:
 
 
 def _float_lane(x_max: int) -> np.ndarray:
+    # Half-length form of the sum (module docstring):
+    #   sum_j max(a_j, a_{x-1-j}) = sum_j a_j + sum_{j < x//2} |a_j - a_{x-1-j}|
+    #   sum_j a_j = 2 P(x-2) + v[x-1],   a_j - a_{x-1-j} = d[j] - d[x-1-j]
+    # with d[k] = v[k] - v[k-1] (d[0] = 0).  The running prefix sum P is
+    # Neumaier-compensated (all terms are non-negative): a plain running sum
+    # drifts to ~8e-16 relative error by x = 1200, against ~3e-16, and moves
+    # printed digits of `dp --sweep 2..3000`.
     v = np.zeros(x_max + 1, dtype=np.float64)
-    if x_max >= 1:
-        v[1] = 1.0
-    if x_max >= 2:
-        v[2] = 2.0
-    buf = np.empty(x_max + 1, dtype=np.float64)
+    d = np.zeros(x_max + 1, dtype=np.float64)
+    base = (0.0, 1.0, 2.0)[: x_max + 1]
+    v[: len(base)] = base
+    d[1 : len(base)] = np.diff(base)
+    buf = np.empty(x_max // 2 + 1, dtype=np.float64)
+    prefix, carry = 1.0, 0.0  # P(x-2) at x = 3, compensation
+    prev = 2.0  # v[x-1]
     for x in range(3, x_max + 1):
-        w = buf[:x]
-        w[: x - 1] = v[x - 2 :: -1]
-        w[x - 1] = 0.0
-        first = v[:x] + w
-        v[x] = 1.0 + float(np.maximum(first, first[::-1]).sum()) / x
+        h = x // 2
+        half = buf[:h]
+        np.subtract(d[:h], d[x - h : x][::-1], out=half)
+        np.abs(half, out=half)
+        cur = 1.0 + (2.0 * (prefix + carry) + prev + float(half.sum())) / x
+        v[x] = cur
+        d[x] = cur - prev
+        total = prefix + prev
+        if prefix >= prev:
+            carry += (prefix - total) + prev
+        else:
+            carry += (prev - total) + prefix
+        prefix, prev = total, cur
     return v
 
 

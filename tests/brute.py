@@ -5,8 +5,11 @@ size comes from a bitmask dynamic program over all subsets, and the
 recurrence values from a direct memoised translation of the defining sum.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from intervalsel.geometry import Scalar, UnitInterval, intersects
 
@@ -57,6 +60,37 @@ def direct_out(x: int) -> Fraction:
         for i in range(1, x + 1)
     )
     return 1 + Fraction(total, x)
+
+
+def reference_float_lane(x_max: int) -> np.ndarray:
+    """The float lane in its direct form: max(first, first[::-1]) summed."""
+    v = np.zeros(x_max + 1, dtype=np.float64)
+    if x_max >= 1:
+        v[1] = 1.0
+    if x_max >= 2:
+        v[2] = 2.0
+    buf = np.empty(x_max + 1, dtype=np.float64)
+    for x in range(3, x_max + 1):
+        w = buf[:x]
+        w[: x - 1] = v[x - 2 :: -1]
+        w[x - 1] = 0.0
+        first = v[:x] + w
+        v[x] = 1.0 + float(np.maximum(first, first[::-1]).sum()) / x
+    return v
+
+
+def decimal_lane(x_max: int, digits: int = 50) -> list[Decimal]:
+    """The defining recurrence summed directly in ``digits``-digit decimals."""
+    values = [Decimal(0), Decimal(1), Decimal(2)][: x_max + 1]
+    with localcontext() as ctx:
+        ctx.prec = digits
+        for x in range(3, x_max + 1):
+            lb = values + [Decimal(0)]  # lb[-1] = out_lb(-1) = 0
+            total = Decimal(0)
+            for i in range(1, x + 1):
+                total += max(lb[i - 1] + lb[x - i - 1], lb[x - i] + lb[i - 2])
+            values.append(1 + total / x)
+    return values
 
 
 def random_intervals(rng, delta: int, n: int) -> list[UnitInterval]:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import resource
 import subprocess
 import sys
 
@@ -7,6 +9,17 @@ import pytest
 from intervalsel.cli import dispatch
 
 SEED = "20260810"
+
+# stdout SHA-256 recorded before the float lane took its half-length form;
+# any printed digit that moves fails TestDp::test_golden_stdout.
+GOLDEN_DP_STDOUT = {
+    ("dp", "--sweep", "2..3000"): (
+        "2efef64b15dfa85c7c38ca1ac2f68c528463837380752724f7c099243aef6a36"
+    ),
+    ("dp", "--delta", "22000"): (
+        "7083c672df8265f5e3dad93c1e66d079d743d2b84fd83ae0c334fda3f8388480"
+    ),
+}
 
 
 def run_cli(args, capsys):
@@ -72,10 +85,52 @@ class TestDp:
 
     def test_bad_sweep_spec(self, capsys):
         assert run_cli(["dp", "--sweep", "5"], capsys)[0] == 2
-        assert run_cli(["dp", "--sweep", "9..5"], capsys)[0] == 2
+        code, _, err = run_cli(["dp", "--sweep", "9..5"], capsys)
+        assert code == 2
+        assert "usage error: need 2 <= delta_min <= delta_max" in err
 
     def test_bad_exact_until(self, capsys):
         assert run_cli(["dp", "--delta", "4", "--exact-until", "1"], capsys)[0] == 2
+
+    def test_golden_stdout(self, capsys):
+        for args, digest in GOLDEN_DP_STDOUT.items():
+            code, out, _ = run_cli(list(args), capsys)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+    def test_metrics_line(self, capsys):
+        code, _, err = run_cli(["dp", "--sweep", "2..300"], capsys)
+        assert code == 0
+        lines = err.splitlines()
+        assert lines[0].startswith("config: ")
+        label, text = lines[1].split(" ", 1)
+        assert label == "metrics:"
+        metrics = json.loads(text)
+        assert list(metrics) == [
+            "build_s", "max_rel_disagreement", "ratio_violations", "x_max"
+        ]
+        assert metrics["x_max"] == 299
+        assert metrics["max_rel_disagreement"] <= 1e-9
+        assert metrics["ratio_violations"] == 0
+        assert metrics["build_s"] >= 0
+
+    def test_unallocatable_table_is_a_data_error(self):
+        # The address-space cap makes the 745 GiB table fail to allocate
+        # whatever the host's overcommit policy.
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "intervalsel", "dp", "--delta", "100000000000"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestRun:

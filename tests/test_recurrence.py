@@ -1,8 +1,12 @@
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
+from intervalsel import recurrence
+from intervalsel.cli import _fmt
 from intervalsel.geometry import UnitInterval, alpha
 from intervalsel.recurrence import (
     DELTA5_NOTE,
@@ -14,7 +18,7 @@ from intervalsel.recurrence import (
 )
 from intervalsel.restricted import run_restricted
 
-from brute import direct_out
+from brute import decimal_lane, direct_out, reference_float_lane
 
 u = UnitInterval.at
 
@@ -69,6 +73,34 @@ class TestOutTable:
         ]
         assert direct == []
         assert t.ratio_violations == ()
+
+
+class TestFloatLane:
+    # The half-length lane rounds differently from the direct one, so values
+    # agree to a tolerance set from float64 precision, not bit for bit; the
+    # printed 12-digit output must still be identical.
+
+    def test_small_tables_match_reference_lane(self):
+        for x_max in range(8):
+            lane = recurrence._float_lane(x_max)
+            np.testing.assert_allclose(lane, reference_float_lane(x_max), rtol=1e-15)
+
+    def test_matches_fifty_digit_decimal_lane(self):
+        approx = build_out_table(1200).approx
+        for x, exact in enumerate(decimal_lane(1200)):
+            assert abs(Decimal(float(approx[x])) - exact) <= Decimal("1e-15") * exact, x
+
+    def test_sweep_prints_the_same_as_reference_lane(self, monkeypatch):
+        def printed(curve):
+            rows = [
+                (row.delta, _fmt(row.restricted), _fmt(row.overall), row.binding_alpha)
+                for row in curve.rows
+            ]
+            return rows, curve.notes
+
+        ours = printed(sweep(2, 3000))
+        monkeypatch.setattr(recurrence, "_float_lane", reference_float_lane)
+        assert printed(sweep(2, 3000)) == ours
 
 
 class TestFactors:
