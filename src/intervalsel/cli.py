@@ -6,8 +6,9 @@ go to stderr.  Identical subcommand, flags and seed produce byte-identical
 stdout.  Seeds are never read from the environment: give --seed or accept
 an auto-generated one, which is printed with the configuration.
 
-Exit status: 0 on success, 1 when a verification or data check fails,
-2 on usage errors.
+Exit status: 0 on success; 1 when the input cannot be read, decoded or
+parsed, lies outside the domain, or a verification or data check fails;
+2 on usage errors.  ``dispatch`` alone maps exceptions to these codes.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from pathlib import Path
 
 from . import gadget as gadget_mod
 from . import harness, recurrence, windows
-from .geometry import (
-    ParseError,
-    ScalarOverflowError,
-    alpha,
-    format_intervals,
-    parse_intervals,
-)
+from .geometry import ParseError, alpha, format_intervals, parse_intervals
 from .restricted import (
     Domain,
     DomainError,
@@ -311,12 +306,9 @@ def _cmd_montecarlo(args) -> int:
         if value is not None:
             config[key] = value
     _echo_config(config)
-    try:
-        summary = harness.monte_carlo(
-            spec, args.trials, algorithm=args.algorithm, threads=args.threads
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    summary = harness.monte_carlo(
+        spec, args.trials, algorithm=args.algorithm, threads=args.threads
+    )
     if args.format == "csv":
         fields = summary.to_dict()
         print(",".join(fields))
@@ -404,10 +396,7 @@ def _cmd_gadget(args) -> int:
             "threads": args.threads,
         }
     )
-    try:
-        gadget_mod.resolve_algorithm(args.algorithm)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    gadget_mod.resolve_algorithm(args.algorithm)
     stats = gadget_mod.simulate_protocol(
         args.t, args.samples, args.algorithm, seed, threads=args.threads
     )
@@ -485,24 +474,22 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.subcommand](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except (
         ParseError,
-        ScalarOverflowError,
+        ArithmeticError,
         MemoryError,
         DomainError,
-        FileNotFoundError,
+        OSError,
+        UnicodeError,
         harness.ValidationError,
         gadget_mod.GadgetInvariantError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, f"error: {exc}"
     except ValueError as exc:
-        # remaining ValueErrors are rejected parameter combinations
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        # UsageError, and the ValueErrors of rejected parameter combinations
+        code, message = 2, f"usage error: {exc}"
+    print(message, file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -321,10 +321,6 @@ def wing_after_probability(t: int, samples: int, seed: int) -> float:
 # --- protocol simulation ----------------------------------------------------
 
 
-def _oracle_algorithm(stream: Sequence[UnitInterval]) -> IndependentSet:
-    return max_independent_set(stream)
-
-
 def _first_only_algorithm(stream: Sequence[UnitInterval]) -> IndependentSet:
     return IndependentSet(list(stream[:1]))
 
@@ -332,7 +328,7 @@ def _first_only_algorithm(stream: Sequence[UnitInterval]) -> IndependentSet:
 def resolve_algorithm(name: str) -> Algorithm:
     """Map "oracle", "first" or "windowed:DELTA" to a stream consumer."""
     if name == "oracle":
-        return _oracle_algorithm
+        return max_independent_set
     if name == "first":
         return _first_only_algorithm
     if name.startswith("windowed:"):

@@ -176,10 +176,6 @@ class UnitInterval:
     left: Scalar
     label: str | None = None
 
-    @classmethod
-    def at(cls, left: ScalarLike, label: str | None = None) -> "UnitInterval":
-        return cls(Scalar.coerce(left), label)
-
     @property
     def right(self) -> Scalar:
         return self.left + ONE

@@ -58,7 +58,6 @@ class InstanceSpec:
     t: int | None = None
     path: str | None = None
     aligned: bool = False
-    jitter_denominator: int = DEFAULT_JITTER_DENOMINATOR
 
 
 @dataclass(frozen=True)
@@ -97,11 +96,7 @@ class TrialSummary:
 
 
 def gen_independent(
-    alpha_target: int,
-    delta: int,
-    seed: int,
-    aligned: bool = False,
-    jitter_denominator: int = DEFAULT_JITTER_DENOMINATOR,
+    alpha_target: int, delta: int, seed: int, aligned: bool = False
 ) -> list[UnitInterval]:
     """alpha pairwise-independent unit intervals inside [0, delta).
 
@@ -123,9 +118,7 @@ def gen_independent(
             UnitInterval(Scalar(off + 2 * k)) for k, off in enumerate(offsets)
         ]
 
-    q = jitter_denominator
-    if q < 2:
-        raise ValueError("jitter denominator must be at least 2")
+    q = DEFAULT_JITTER_DENOMINATOR
     # Positions in units of 1/q: consecutive lefts at least q+1 apart (gap
     # strictly above 1) and the last one strictly below (delta-1)*q.
     budget = (delta - alpha_target) * q - alpha_target
@@ -155,13 +148,7 @@ def instance_from_spec(spec: InstanceSpec) -> list[UnitInterval]:
     if spec.kind == "independent":
         if spec.alpha is None:
             raise ValueError("independent instances need alpha")
-        return gen_independent(
-            spec.alpha,
-            spec.delta,
-            spec.seed,
-            aligned=spec.aligned,
-            jitter_denominator=spec.jitter_denominator,
-        )
+        return gen_independent(spec.alpha, spec.delta, spec.seed, aligned=spec.aligned)
     if spec.kind == "clique":
         if spec.size is None:
             raise ValueError("clique instances need size")
@@ -311,6 +298,8 @@ def substream_monotonicity_test(trials: int, seed: int) -> MonotonicityReport:
     check that |OUT(substream)| <= |OUT(stream)|.  Returns the violations
     found; a correct implementation returns none.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     violations = []
     for k in range(trials):
         rng = derive(seed, k)

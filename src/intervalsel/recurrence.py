@@ -188,43 +188,19 @@ def build_out_table(x_max: int, exact_until: int = DEFAULT_EXACT_UNTIL) -> OutTa
     )
 
 
-def _min_ratio(delta: int, table: OutTable) -> tuple[Bound, int]:
-    if delta < 2:
-        raise ValueError("delta must be at least 2")
-    if table.x_max < delta - 1:
-        raise ValueError(f"table covers x <= {table.x_max}; delta={delta} needs {delta - 1}")
-    if delta - 1 <= table.exact_limit:
-        best: Bound = Fraction(1)
-        best_alpha = 1
-        for a in range(2, delta):
-            ratio = table.exact[a] / a
-            if ratio < best:
-                best, best_alpha = ratio, a
-        return best, best_alpha
-    ratios = table.approx[1:delta] / np.arange(1, delta, dtype=np.float64)
-    idx = int(np.argmin(ratios))
-    return float(ratios[idx]), idx + 1
-
-
 def restricted_factor(delta: int, table: OutTable) -> Bound:
     """min over alpha in {1..delta-1} of out_lb(alpha)/alpha."""
-    return _min_ratio(delta, table)[0]
+    return sweep(delta, delta, table).rows[0].restricted
 
 
 def binding_alpha(delta: int, table: OutTable) -> int:
     """Smallest alpha attaining the restricted-factor minimum."""
-    return _min_ratio(delta, table)[1]
+    return sweep(delta, delta, table).rows[0].binding_alpha
 
 
 def overall_factor(delta: int, table: OutTable) -> Bound:
     """(delta-1)/delta times the restricted factor: the window loss applied."""
-    return _apply_window_loss(delta, restricted_factor(delta, table))
-
-
-def _apply_window_loss(delta: int, restricted: Bound) -> Bound:
-    if isinstance(restricted, Fraction):
-        return Fraction(delta - 1, delta) * restricted
-    return (delta - 1) / delta * restricted
+    return sweep(delta, delta, table).rows[0].overall
 
 
 @dataclass(frozen=True)
@@ -255,16 +231,7 @@ class FactorCurve:
         return not self.monotone_violations
 
 
-def factor_notes(deltas) -> tuple[str, ...]:
-    return (DELTA5_NOTE,) if 5 in deltas else ()
-
-
-def sweep(
-    delta_min: int,
-    delta_max: int,
-    table: OutTable | None = None,
-    exact_until: int = DEFAULT_EXACT_UNTIL,
-) -> FactorCurve:
+def sweep(delta_min: int, delta_max: int, table: OutTable | None = None) -> FactorCurve:
     """Rows (delta, restricted, overall, binding alpha) for a range of deltas.
 
     The running minimum over alpha is shared across the sweep, so the whole
@@ -273,7 +240,7 @@ def sweep(
     if not 2 <= delta_min <= delta_max:
         raise ValueError("need 2 <= delta_min <= delta_max")
     if table is None:
-        table = build_out_table(delta_max - 1, exact_until=exact_until)
+        table = build_out_table(delta_max - 1)
     elif table.x_max < delta_max - 1:
         raise ValueError("supplied table does not cover the sweep range")
 
@@ -290,7 +257,8 @@ def sweep(
                 FactorRow(
                     delta=delta,
                     restricted=best,
-                    overall=_apply_window_loss(delta, best),
+                    # a float best gives the float (delta-1)/delta * best
+                    overall=Fraction(delta - 1, delta) * best,
                     binding_alpha=best_alpha,
                 )
             )
@@ -298,7 +266,7 @@ def sweep(
     violations = tuple(
         cur.delta for prev, cur in zip(rows, rows[1:]) if cur.overall < prev.overall
     )
-    notes = list(factor_notes(range(delta_min, delta_max + 1)))
+    notes = [DELTA5_NOTE] if delta_min <= 5 <= delta_max else []
     if table.ratio_violations:
         notes.append(
             f"out_lb(x)/x increased at x = {list(table.ratio_violations)}; "

@@ -12,6 +12,12 @@ from functools import lru_cache
 import numpy as np
 
 from intervalsel.geometry import Scalar, UnitInterval, intersects
+from intervalsel.recurrence import Bound, OutTable
+
+
+def u(left, label=None) -> UnitInterval:
+    """Unit interval from an int, Fraction, decimal string or Scalar left end."""
+    return UnitInterval(Scalar.coerce(left), label)
 
 
 def brute_force_alpha(intervals) -> int:
@@ -77,6 +83,27 @@ def reference_float_lane(x_max: int) -> np.ndarray:
         first = v[:x] + w
         v[x] = 1.0 + float(np.maximum(first, first[::-1]).sum()) / x
     return v
+
+
+def reference_min_ratio(delta: int, table: OutTable) -> tuple[Bound, int]:
+    """Restricted factor and binding alpha by a direct minimum over the table:
+    exact Fractions while delta - 1 is in the exact lane, else one numpy
+    argmin over the float lane."""
+    if delta < 2:
+        raise ValueError("delta must be at least 2")
+    if table.x_max < delta - 1:
+        raise ValueError(f"table covers x <= {table.x_max}; delta={delta} needs {delta - 1}")
+    if delta - 1 <= table.exact_limit:
+        best: Bound = Fraction(1)
+        best_alpha = 1
+        for a in range(2, delta):
+            ratio = table.exact[a] / a
+            if ratio < best:
+                best, best_alpha = ratio, a
+        return best, best_alpha
+    ratios = table.approx[1:delta] / np.arange(1, delta, dtype=np.float64)
+    idx = int(np.argmin(ratios))
+    return float(ratios[idx]), idx + 1
 
 
 def decimal_lane(x_max: int, digits: int = 50) -> list[Decimal]:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from intervalsel.gadget import random_gadget, simulate_protocol, verify, wing_after_probability
-from intervalsel.geometry import UnitInterval, format_intervals, max_independent_set
+from intervalsel.geometry import format_intervals, max_independent_set
 from intervalsel.harness import (
     InstanceSpec,
     exhaustive_expectation,
@@ -29,10 +29,10 @@ from brute import (
     brute_force_independent,
     direct_out,
     random_intervals,
+    u,
 )
 
 SEED = 20260810
-u = UnitInterval.at
 
 
 class Stopwatch:

@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import resource
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intervalsel.cli import dispatch
 
@@ -339,6 +344,85 @@ class TestSubstream:
         assert code == 0
         payload = json.loads(out)
         assert payload == {"trials": 40, "violations": 0, "examples": []}
+
+
+class TestSubstreamTrials:
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_trials_is_usage_error(self, trials, capsys):
+        code, out, err = run_cli(
+            ["substream-test", "--trials", trials, "--seed", SEED], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "usage error: need at least one trial" in err
+
+
+# Input files that no command can use.
+BAD_INPUTS = {
+    "bad-coordinate": b"0\nabc\n",
+    "outside-domain": b"0\n7.5\n",
+    "directory": None,
+    "non-utf8": b"\xff\xfe0\n",
+}
+INPUT_COMMANDS = {
+    "run-domain": ["run", "--domain", "0,5"],
+    "run-unrestricted": ["run", "--unrestricted", "--delta", "4"],
+    "montecarlo-custom-file": [
+        "montecarlo", "--kind", "custom-file", "--delta", "5", "--trials", "3",
+        "--seed", SEED, "--threads", "1",
+    ],
+}
+# The unrestricted lift has no domain (every interval lies in some window),
+# so "outside-domain" is an error only for the commands that fix one:
+# [0, 5), and [0, 5) inside the [-1, 6) wrapper for delta 5.
+DATA_ERROR_CASES = [
+    (bad_input, command)
+    for bad_input in BAD_INPUTS
+    for command in INPUT_COMMANDS
+    if (bad_input, command) != ("outside-domain", "run-unrestricted")
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("bad_input, command", DATA_ERROR_CASES)
+    def test_unusable_input_is_a_data_error(self, bad_input, command, tmp_path, capsys):
+        path = tmp_path / "input"
+        if BAD_INPUTS[bad_input] is None:
+            path.mkdir()
+        else:
+            path.write_bytes(BAD_INPUTS[bad_input])
+        code, out, err = run_cli([*INPUT_COMMANDS[command], "--input", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.text(max_size=80),
+            st.lists(
+                st.one_of(
+                    st.fractions(min_value=-3, max_value=9, max_denominator=8).map(str),
+                    st.decimals(min_value=-3, max_value=9, places=2).map(str),
+                    st.text(max_size=6),
+                ),
+                max_size=12,
+            ).map("\n".join),
+        )
+    )
+    def test_any_text_exits_zero_or_one(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.txt"
+            path.write_text(text, encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = dispatch(["run", "--domain", "-1,7", "--input", str(path)])
+        assert code in (0, 1), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert out.getvalue() == ""
+            assert err.getvalue().splitlines()[-1].startswith("error: ")
 
 
 class TestByteDeterminism:

@@ -9,7 +9,6 @@ from intervalsel.geometry import (
     ParseError,
     Scalar,
     ScalarOverflowError,
-    UnitInterval,
     alpha,
     contained_in,
     format_intervals,
@@ -19,9 +18,8 @@ from intervalsel.geometry import (
 )
 from intervalsel.rng import SplitMix64
 
-from brute import brute_force_alpha, random_intervals
+from brute import brute_force_alpha, random_intervals, u
 
-u = UnitInterval.at
 
 small_rational = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=1 << 16

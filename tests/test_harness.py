@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from intervalsel import rng as rng_mod
-from intervalsel.geometry import UnitInterval, alpha, max_independent_set
+from intervalsel.geometry import alpha, max_independent_set
 from intervalsel.harness import (
     InstanceSpec,
     exhaustive_expectation,
@@ -17,9 +17,8 @@ from intervalsel.harness import (
 )
 from intervalsel.rng import SplitMix64, derive, fisher_yates, mix64
 
-from brute import random_intervals
+from brute import random_intervals, u
 
-u = UnitInterval.at
 SEED = 20260810
 
 

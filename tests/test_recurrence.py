@@ -7,7 +7,7 @@ import pytest
 
 from intervalsel import recurrence
 from intervalsel.cli import _fmt
-from intervalsel.geometry import UnitInterval, alpha
+from intervalsel.geometry import alpha
 from intervalsel.recurrence import (
     DELTA5_NOTE,
     build_out_table,
@@ -18,9 +18,7 @@ from intervalsel.recurrence import (
 )
 from intervalsel.restricted import run_restricted
 
-from brute import decimal_lane, direct_out, reference_float_lane
-
-u = UnitInterval.at
+from brute import decimal_lane, direct_out, reference_float_lane, reference_min_ratio, u
 
 
 class TestOutTable:
@@ -130,6 +128,38 @@ class TestFactors:
         assert isinstance(value, float)
         exact = build_out_table(300, exact_until=300)
         assert abs(value - float(restricted_factor(300, exact))) < 1e-9
+
+
+class TestSweepMatchesReference:
+    # sweep's running minimum is the only min-ratio pass in the library; the
+    # per-delta factor functions read its rows.  The reference takes the
+    # minimum directly for each delta, in whichever lane covers delta - 1.
+
+    @pytest.mark.parametrize("exact_until", [8, 32, 64])
+    def test_every_row_matches_direct_minimum(self, exact_until):
+        table = build_out_table(2999, exact_until=exact_until)
+        for row in sweep(2, 3000, table).rows:
+            delta = row.delta
+            best, best_alpha = reference_min_ratio(delta, table)
+            assert row.restricted == best, delta
+            assert type(row.restricted) is type(best), delta
+            assert row.binding_alpha == best_alpha, delta
+            if isinstance(best, Fraction):
+                overall = Fraction(delta - 1, delta) * best
+            else:
+                overall = (delta - 1) / delta * best
+            assert row.overall == overall, delta
+            assert type(row.overall) is type(overall), delta
+
+    def test_factor_functions_read_the_sweep_rows(self):
+        table = build_out_table(2999)
+        rows = {row.delta: row for row in sweep(2, 3000, table).rows}
+        for delta in (2, 5, 6, 65, 66, 300, 3000):
+            row = rows[delta]
+            assert restricted_factor(delta, table) == row.restricted
+            assert type(restricted_factor(delta, table)) is type(row.restricted)
+            assert binding_alpha(delta, table) == row.binding_alpha
+            assert overall_factor(delta, table) == row.overall
 
 
 class TestSweep:

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from intervalsel.geometry import Domain, UnitInterval, alpha
+from intervalsel.geometry import Domain, alpha
 from intervalsel.restricted import (
     DomainError,
     InstanceState,
@@ -14,9 +14,7 @@ from intervalsel.restricted import (
 )
 from intervalsel.rng import SplitMix64, derive, fisher_yates
 
-from brute import brute_force_alpha, brute_force_independent, random_intervals
-
-u = UnitInterval.at
+from brute import brute_force_alpha, brute_force_independent, random_intervals, u
 
 
 class TestInstanceBasics:

@@ -3,14 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from intervalsel.geometry import UnitInterval, alpha
+from intervalsel.geometry import alpha
 from intervalsel.restricted import run_restricted
 from intervalsel.rng import SplitMix64, fisher_yates
 from intervalsel.windows import WindowMap, run_windowed, windows_containing
 
-from brute import brute_force_alpha, brute_force_independent, random_intervals
-
-u = UnitInterval.at
+from brute import brute_force_alpha, brute_force_independent, random_intervals, u
 
 
 class TestWindowsContaining:
