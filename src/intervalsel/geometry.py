@@ -30,6 +30,26 @@ class ParseError(ValueError):
 
 ScalarLike = Union["Scalar", int, str, Fraction]
 
+# Bounds on coordinate text.  Inside them the largest integer Fraction can
+# build has about 2,000 digits, which is cheap to build and to print; a
+# coordinate in the 64-bit range needs far fewer.
+MAX_COORDINATE_CHARS = 1000
+MAX_DECIMAL_EXPONENT = 1000
+
+
+def _decimal_exponent(body: str) -> int:
+    """The exponent after ``e`` in decimal text, or 0 if there is none to read.
+
+    Text that is not a well-formed number is left for ``Fraction`` to refuse.
+    """
+    _, marker, exponent = body.lower().partition("e")
+    if not marker:
+        return 0
+    try:
+        return int(exponent)
+    except ValueError:
+        return 0
+
 
 class Scalar:
     """A reduced rational with 64-bit numerator and positive 64-bit denominator.
@@ -78,17 +98,29 @@ class Scalar:
         """Parse ``"3"``, ``"1/4"`` or a decimal like ``"0.25"`` exactly.
 
         Decimals are read as base-10 rationals (0.25 -> 1/4), never as
-        binary floats.
+        binary floats.  Text longer than ``MAX_COORDINATE_CHARS`` or with a
+        decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` is refused before
+        ``Fraction`` builds the power of ten.
         """
+        body = text.strip()
+        if len(body) > MAX_COORDINATE_CHARS:
+            raise ParseError(
+                f"coordinate of {len(body)} characters, "
+                f"more than {MAX_COORDINATE_CHARS}"
+            )
+        if abs(_decimal_exponent(body)) > MAX_DECIMAL_EXPONENT:
+            raise ParseError(
+                f"bad coordinate {body!r}: exponent beyond {MAX_DECIMAL_EXPONENT}"
+            )
         try:
-            frac = Fraction(text.strip())
+            frac = Fraction(body)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad coordinate {text!r}: {exc}") from None
         try:
             return cls(frac.numerator, frac.denominator)
         except ScalarOverflowError:
             raise ScalarOverflowError(
-                f"coordinate {text.strip()!r} outside the 64-bit range"
+                f"coordinate {body!r} outside the 64-bit range"
             ) from None
 
     def as_fraction(self) -> Fraction:
@@ -309,10 +341,11 @@ def parse_intervals(text: str) -> list[UnitInterval]:
         if not line or line.startswith("#"):
             continue
         try:
-            left = Scalar.parse(line)
+            iv = UnitInterval(Scalar.parse(line))
+            iv.right  # the right end, left + 1, must fit the 64-bit range too
         except (ParseError, ScalarOverflowError) as exc:
             raise type(exc)(f"line {lineno}: {exc}") from None
-        intervals.append(UnitInterval(left))
+        intervals.append(iv)
     return intervals
 
 

@@ -34,11 +34,20 @@ generator keeps a table of its states by domain, and the generator
 ``("R", g, i, b)`` hangs off the state ``(g, i, b)``, which is unique in
 g's table.  The slot R_i of every node ``(g, a, b)`` is the left-most
 interval ever fed to T_R(i) = ``(g, i, b)``, and L_i the right-most fed to
-T_L(i), so a state stores just those two intervals and its two
-conditional generators.  An arriving interval updates each reachable
-distinct state once.  An update reads only the state's own fields, so only
-the order within a state is observable, and it is the tree's: slot update,
-then the conditional feed judged against the updated slot.
+T_L(i), so a state stores four slots: those two intervals and its two
+conditional generators.  It holds no reference to its generator or its
+domain; a generator's table is one flat list of cells, and the feed and
+output passes carry the generator and the cell down.  An arriving interval
+updates each reachable distinct state once.  An update reads only the
+state's own fields, so only the order within a state is observable, and it
+is the tree's: slot update, then the conditional feed judged against the
+updated slot.
+
+The end-of-stream pass visits each distinct state once and keeps, per
+state, only sizes: the best candidate size, its split point and side, and
+the two counters below.  The winning set is then rebuilt once, by following
+(split point, side) from the root, which takes one slot interval per
+visited state of the result.
 
 ``instances_touched`` and ``peak_stored_intervals`` still report the
 logical tree: a state's subtree count is the sum over its child edges of
@@ -109,9 +118,10 @@ class RunReport:
 class _Generator:
     """The states that share one generator, keyed by their domain.
 
-    ``grid[a - self.a][b - self.a]`` is the state on [a, b), or None until
-    an interval inside [a, b) reaches this generator.  The generator's own
-    domain is [self.a, self.b), and the state on it is its root.
+    With w = self.b - self.a + 1, ``grid[(a - self.a) * w + b - self.a]`` is
+    the state on [a, b), or None until an interval inside [a, b) reaches this
+    generator.  The generator's own domain is [self.a, self.b), and the
+    state on it, at index w - 1, is its root.
     """
 
     __slots__ = ("a", "b", "grid")
@@ -119,15 +129,15 @@ class _Generator:
     def __init__(self, a: int, b: int):
         self.a = a
         self.b = b
-        size = b - a + 1
-        self.grid: list[list[_State | None]] = [[None] * size for _ in range(size)]
+        w = b - a + 1
+        self.grid: list[_State | None] = [None] * (w * w)
 
     def get(self, a: int, b: int) -> _State | None:
-        return self.grid[a - self.a][b - self.a]
+        return self.grid[(a - self.a) * (self.b - self.a + 1) + b - self.a]
 
     @property
     def root(self) -> _State | None:
-        return self.get(self.a, self.b)
+        return self.grid[self.b - self.a]
 
 
 class _State:
@@ -136,15 +146,13 @@ class _State:
     ``lo`` and ``hi`` are the left-most and right-most interval it was fed,
     which are the slots R_a and L_b of each of its tree parents.  ``cr`` and
     ``cl`` are the generators of those parents' conditional children A_R(a)
-    and A_L(b), created on their first feed.
+    and A_L(b), created on their first feed.  A state knows neither its
+    generator nor its domain: the passes carry both down.
     """
 
-    __slots__ = ("gen", "a", "b", "lo", "hi", "cr", "cl")
+    __slots__ = ("lo", "hi", "cr", "cl")
 
-    def __init__(self, gen: _Generator, a: int, b: int, first: UnitInterval):
-        self.gen = gen
-        self.a = a
-        self.b = b
+    def __init__(self, first: UnitInterval):
         self.lo = first
         self.hi = first
         self.cr: _Generator | None = None
@@ -162,14 +170,15 @@ def _feed(gen: _Generator, iv: UnitInterval, num: int, den: int, fl: int) -> Non
     """
     a0 = gen.a
     k = gen.b - a0
+    w = k + 1
     grid = gen.grid
-    cols = range(fl + 2 - a0, k + 1)
     for ai in range(fl - a0 + 1):
-        row = grid[ai]
-        for bj in cols:
-            s = row[bj]
+        row = ai * w
+        last = row + k
+        for idx in range(row + fl + 2 - a0, last + 1):
+            s = grid[idx]
             if s is None:
-                row[bj] = _State(gen, a0 + ai, a0 + bj, iv)
+                grid[idx] = _State(iv)
                 continue
             lo = s.lo.left
             if num * lo.den < lo.num * den:
@@ -178,61 +187,107 @@ def _feed(gen: _Generator, iv: UnitInterval, num: int, den: int, fl: int) -> Non
             # state with a pass-through parent (a > a0) is someone's T_R.
             elif ai and num * lo.den > (lo.num + lo.den) * den:
                 if s.cr is None:
-                    s.cr = _Generator(s.a, s.b)
+                    s.cr = _Generator(a0 + ai, a0 + idx - row)
                 _feed(s.cr, iv, num, den, fl)
             hi = s.hi.left
             if num * hi.den > hi.num * den:
                 s.hi = iv
             # independent of and further left than L: x < hi - 1, for a
             # state with a pass-through parent (b < b0)
-            elif bj < k and num * hi.den < (hi.num - hi.den) * den:
+            elif idx != last and num * hi.den < (hi.num - hi.den) * den:
                 if s.cl is None:
-                    s.cl = _Generator(s.a, s.b)
+                    s.cl = _Generator(a0 + ai, a0 + idx - row)
                 _feed(s.cl, iv, num, den, fl)
 
 
-_NO_NODE = ([], None, None, 0, 0)
+def _summary(g: _Generator, a: int, b: int, s: _State, memo: dict) -> tuple:
+    """Logical subtree of every tree node of state ``s`` on [a, b) in ``g``.
 
-
-def _summary(s: _State | None, memo: dict) -> tuple:
-    """Logical subtree of every tree node of state ``s``, memoised per state.
-
-    Returns (best candidate, its split point, its side, tree nodes, occupied
-    slots).  All tree nodes of one state have the same subtree, so the
-    counts are sums over child edges of the children's memoised counts.
+    Returns (best candidate size, its split point, its side, tree nodes,
+    occupied slots) and stores it in ``memo`` under ``s``.  All tree nodes
+    of one state have the same subtree, so the counts are sums over child
+    edges of the children's memoised counts.  Absent children and memo hits
+    are resolved here, so there is one call per distinct state.  A
+    conditional generator is created on its first feed, which creates its
+    root, so an existing ``cl`` or ``cr`` has a root.
     """
-    if s is None:
-        return _NO_NODE
-    hit = memo.get(s)
-    if hit is not None:
-        return hit
-    g, a, b = s.gen, s.a, s.b
-    grid, off = g.grid, g.a
-    row = grid[a - off]
-    best: list[UnitInterval] = []
-    point, side = a + 1, RIGHT_CANDIDATE
+    off = g.a
+    w = g.b - off + 1
+    grid = g.grid
+    row = (a - off) * w - off  # grid[row + i] is the state on [a, i)
+    col = b - off  # grid[(i - off) * w + col] is the state on [i, b)
+    best, point, side = 0, a + 1, RIGHT_CANDIDATE
     nodes, stored = 1, 0
     for i in range(a + 1, b):
-        tl = row[i - off]
-        tr = grid[i - off][b - off]
-        t_l = _summary(tl, memo)
-        t_r = _summary(tr, memo)
-        a_l = _summary(tl and tl.cl and tl.cl.root, memo)
-        a_r = _summary(tr and tr.cr and tr.cr.root, memo)
-        nodes += t_l[3] + t_r[3] + a_l[3] + a_r[3]
-        # each pass-through child's first feed filled the slot R_i or L_i
-        stored += (tl is not None) + (tr is not None)
-        stored += t_l[4] + t_r[4] + a_l[4] + a_r[4]
-
-        # OUT(T_L(i)) + R_i + OUT(A_R(i)), then OUT(A_L(i)) + L_i + OUT(T_R(i))
-        cand = t_l[0] + [tr.lo] + a_r[0] if tr is not None else t_l[0]
-        if len(cand) > len(best):
-            best, point, side = cand, i, RIGHT_CANDIDATE
-        cand = a_l[0] + [tl.hi] + t_r[0] if tl is not None else t_r[0]
-        if len(cand) > len(best):
-            best, point, side = cand, i, LEFT_CANDIDATE
+        # sizes of OUT(T_L(i)) + R_i + OUT(A_R(i)) and OUT(A_L(i)) + L_i + OUT(T_R(i))
+        r_size = l_size = 0
+        tl = grid[row + i]
+        # each pass-through child's first feed filled the slot L_i or R_i
+        if tl is not None:
+            h = memo.get(tl) or _summary(g, a, i, tl, memo)
+            r_size = h[0]
+            nodes += h[3]
+            stored += 1 + h[4]
+            l_size = 1
+            c = tl.cl
+            if c is not None:
+                root = c.grid[i - a]
+                h = memo.get(root) or _summary(c, a, i, root, memo)
+                l_size += h[0]
+                nodes += h[3]
+                stored += h[4]
+        tr = grid[(i - off) * w + col]
+        if tr is not None:
+            h = memo.get(tr) or _summary(g, i, b, tr, memo)
+            l_size += h[0]
+            nodes += h[3]
+            stored += 1 + h[4]
+            r_size += 1
+            c = tr.cr
+            if c is not None:
+                root = c.grid[b - i]
+                h = memo.get(root) or _summary(c, i, b, root, memo)
+                r_size += h[0]
+                nodes += h[3]
+                stored += h[4]
+        if r_size > best:
+            best, point, side = r_size, i, RIGHT_CANDIDATE
+        if l_size > best:
+            best, point, side = l_size, i, LEFT_CANDIDATE
     hit = memo[s] = (best, point, side, nodes, stored)
     return hit
+
+
+def _picks(g: _Generator, a: int, b: int, s: _State, memo: dict) -> list[UnitInterval]:
+    """The winning candidate of ``s``, rebuilt from the back-pointers in ``memo``.
+
+    Follows (split point, side) from ``s`` down through the children that
+    form the winning candidate, taking one slot interval per visited state
+    of nonzero size.
+    """
+    picks: list[UnitInterval] = []
+    todo = [(g, a, b, s)]
+    while todo:
+        g, a, b, s = todo.pop()
+        size, i, side = memo[s][:3]
+        if not size:
+            continue
+        tl, tr = g.get(a, i), g.get(i, b)
+        if side == RIGHT_CANDIDATE:
+            if tl is not None:
+                todo.append((g, a, i, tl))
+            if tr is not None:
+                picks.append(tr.lo)
+                if tr.cr is not None:
+                    todo.append((tr.cr, i, b, tr.cr.root))
+        else:
+            if tr is not None:
+                todo.append((g, i, b, tr))
+            if tl is not None:
+                picks.append(tl.hi)
+                if tl.cl is not None:
+                    todo.append((tl.cl, a, i, tl.cl.root))
+    return picks
 
 
 class InstanceState:
@@ -258,14 +313,16 @@ class InstanceState:
 
     def output(self) -> RunReport:
         """Largest candidate over all split points, validated as independent."""
-        root = self._gen.root
+        gen, a, b = self._gen, self.domain.a, self.domain.b
+        root = gen.root
         if root is None:
-            point = self.domain.a + 1 if self.domain.length >= 2 else None
+            point = a + 1 if b - a >= 2 else None
             side = RIGHT_CANDIDATE if point is not None else None
             return RunReport(IndependentSet(), point, side, 1, 0)
-        best, point, side, nodes, stored = _summary(root, {})
+        memo: dict = {}
+        _, point, side, nodes, stored = _summary(gen, a, b, root, memo)
         return RunReport(
-            output=IndependentSet(best),
+            output=IndependentSet(_picks(gen, a, b, root, memo)),
             winning_split_point=point,
             winning_side=side,
             instances_touched=nodes,

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,31 @@ GOLDEN_DP_STDOUT = {
         "7083c672df8265f5e3dad93c1e66d079d743d2b84fd83ae0c334fda3f8388480"
     ),
 }
+
+# stdout SHA-256 of the restricted, windowed and unrestricted paths, recorded
+# before the end-of-stream pass kept sizes and back-pointers instead of lists.
+GOLDEN_TRIAL_STDOUT = {
+    "montecarlo-restricted": (
+        [
+            "montecarlo", "--kind", "independent", "--alpha", "10", "--delta", "11",
+            "--trials", "5", "--seed", "3", "--threads", "1",
+        ],
+        "90785304ad55bf7797da0aaf5f87d2c915dcf75c62ed47928da09908f11e7dfc",
+    ),
+    "gadget-windowed": (
+        [
+            "gadget", "--t", "20", "--simulate", "--algorithm", "windowed:6",
+            "--samples", "15", "--seed", "5", "--threads", "1",
+        ],
+        "d55c9962802321f0e1241b873cc8a5f6af6318114fe79e4462aa42844f2aea60",
+    ),
+    "run-unrestricted": (
+        ["run", "--unrestricted", "--delta", "5", "--order", "shuffle", "--seed", "4"],
+        "1fa4bebdb37735fea6beca254b77e0746f700b2fdfcd5892244409cbb3147769",
+    ),
+}
+# the input of "run-unrestricted": 60 lefts on the quarter grid in [0, 10)
+GOLDEN_STREAM = "\n".join(f"{(7 * j) % 40}/4" for j in range(60)) + "\n"
 
 
 def run_cli(args, capsys):
@@ -102,6 +128,17 @@ class TestDp:
             code, out, _ = run_cli(list(args), capsys)
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+    @pytest.mark.parametrize("name", list(GOLDEN_TRIAL_STDOUT))
+    def test_golden_trial_stdout(self, name, tmp_path, capsys):
+        args, digest = GOLDEN_TRIAL_STDOUT[name]
+        if args[0] == "run":
+            path = tmp_path / "stream.txt"
+            path.write_text(GOLDEN_STREAM)
+            args = [*args, "--input", str(path)]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_metrics_line(self, capsys):
         code, _, err = run_cli(["dp", "--sweep", "2..300"], capsys)
@@ -195,6 +232,8 @@ class TestRun:
             # overflows while parsing, and in the window translation
             (["--domain", "-1,5"], "1e400"),
             (["--unrestricted", "--delta", "4"], "1/9223372036854775807"),
+            # the left end fits, the right end left + 1 does not
+            (["--unrestricted", "--delta", "3"], "9223372036854775807"),
         ],
     )
     def test_coordinate_overflow_is_a_data_error(self, args, line, tmp_path, capsys):
@@ -363,6 +402,9 @@ BAD_INPUTS = {
     "outside-domain": b"0\n7.5\n",
     "directory": None,
     "non-utf8": b"\xff\xfe0\n",
+    # exponents whose power of ten has 100,001 and 10,000,001 digits
+    "huge-exponent": b"1e100000\n",
+    "huger-exponent": b"1e10000000\n",
 }
 INPUT_COMMANDS = {
     "run-domain": ["run", "--domain", "0,5"],
@@ -391,7 +433,9 @@ class TestExitCodes:
             path.mkdir()
         else:
             path.write_bytes(BAD_INPUTS[bad_input])
+        start = time.perf_counter()
         code, out, err = run_cli([*INPUT_COMMANDS[command], "--input", str(path)], capsys)
+        assert time.perf_counter() - start < 1.0
         assert code == 1
         assert out == ""
         assert err.splitlines()[-1].startswith("error: ")
@@ -423,6 +467,34 @@ class TestExitCodes:
         if code == 1:
             assert out.getvalue() == ""
             assert err.getvalue().splitlines()[-1].startswith("error: ")
+
+
+    def test_out_of_memory_is_a_data_error(self, tmp_path):
+        # 64 lefts on the eighth grid over a length-16 domain need far more
+        # distinct states than the 200 MB address-space cap allows; the
+        # states must be freed before the error line is printed.
+        path = tmp_path / "big.txt"
+        path.write_text("\n".join(f"{(37 * j) % 113}/8" for j in range(64)))
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "intervalsel", "run", "--domain", "0,16",
+                "--allow-large", "--input", str(path),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap_address_space,
+        )
+        assert time.perf_counter() - start < 10.0
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1].startswith("error:")
+        assert "Traceback" not in proc.stderr
 
 
 class TestByteDeterminism:

@@ -44,6 +44,17 @@ class TestScalar:
         with pytest.raises(ParseError):
             Scalar.parse("nope")
 
+    def test_text_bounds_are_checked_before_fraction(self):
+        # inside both bounds the text is read exactly, zeros and all
+        assert Scalar.parse("0.25" + "0" * 990) == Scalar(1, 4)
+        assert Scalar.parse("25e-2") == Scalar(1, 4)
+        assert Scalar.parse("0e1000") == Scalar(0)
+        for text in ("1e1001", "1E-1001", "1e1_000_000_0", "0e1001", "1" * 1001):
+            with pytest.raises(ParseError):
+                Scalar.parse(text)
+        with pytest.raises(ScalarOverflowError, match="64-bit range"):
+            Scalar.parse("1e1000")
+
     def test_overflow_is_an_error(self):
         big = Scalar((1 << 62) + 1, 1)
         with pytest.raises(ScalarOverflowError):
@@ -150,6 +161,11 @@ class TestTextFormat:
     def test_bad_line_reports_position(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_intervals("1\nwhat\n")
+
+    def test_right_end_must_fit(self):
+        assert str(parse_intervals("9223372036854775806")[0].right) == str((1 << 63) - 1)
+        with pytest.raises(ScalarOverflowError, match="line 2"):
+            parse_intervals("0\n9223372036854775807\n")
 
     def test_round_trip(self):
         intervals = [u("1/4"), u(3), u("-7/2")]

@@ -1,9 +1,11 @@
+import gc
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from intervalsel.geometry import Domain, alpha
+from intervalsel.harness import gen_independent, shuffle
 from intervalsel.restricted import (
     DomainError,
     InstanceState,
@@ -48,6 +50,22 @@ class TestInstanceBasics:
     def test_eager_estimate(self):
         assert eager_instance_estimate(2) == 4
         assert eager_instance_estimate(10) == 4 * 5**8
+
+
+    def test_dropped_instance_leaves_no_cycles(self):
+        # States hold no reference to their generator, so reference counting
+        # alone frees a whole instance, also while an error unwinds.
+        inst = InstanceState(wrapper_domain(9))
+        for iv in shuffle(gen_independent(8, 9, seed=1), 2):
+            inst.feed(iv)
+        assert len(inst.output().output) >= 1
+        gc.collect()
+        gc.disable()
+        try:
+            del inst
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFeedTraces:
