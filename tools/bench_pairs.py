@@ -72,7 +72,11 @@ def bench_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def spread(values: list[float]) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """Median and quartiles; a single run (after the first pair) is all three."""
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = q3 = values[0]
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
