@@ -115,7 +115,7 @@ class Scalar:
         try:
             frac = Fraction(body)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad coordinate {text!r}: {exc}") from None
+            raise ParseError(f"bad coordinate {body!r}: {exc}") from None
         try:
             return cls(frac.numerator, frac.denominator)
         except ScalarOverflowError:

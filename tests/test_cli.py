@@ -129,17 +129,6 @@ class TestDp:
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
-    @pytest.mark.parametrize("name", list(GOLDEN_TRIAL_STDOUT))
-    def test_golden_trial_stdout(self, name, tmp_path, capsys):
-        args, digest = GOLDEN_TRIAL_STDOUT[name]
-        if args[0] == "run":
-            path = tmp_path / "stream.txt"
-            path.write_text(GOLDEN_STREAM)
-            args = [*args, "--input", str(path)]
-        code, out, _ = run_cli(args, capsys)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
     def test_metrics_line(self, capsys):
         code, _, err = run_cli(["dp", "--sweep", "2..300"], capsys)
         assert code == 0
@@ -394,6 +383,19 @@ class TestSubstreamTrials:
         assert code == 2
         assert out == ""
         assert "usage error: need at least one trial" in err
+
+
+class TestTrialGoldenStdout:
+    @pytest.mark.parametrize("name", list(GOLDEN_TRIAL_STDOUT))
+    def test_golden_stdout(self, name, tmp_path, capsys):
+        args, digest = GOLDEN_TRIAL_STDOUT[name]
+        if args[0] == "run":
+            path = tmp_path / "stream.txt"
+            path.write_text(GOLDEN_STREAM)
+            args = [*args, "--input", str(path)]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # Input files that no command can use.
