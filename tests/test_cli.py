@@ -470,7 +470,6 @@ class TestExitCodes:
             assert out.getvalue() == ""
             assert err.getvalue().splitlines()[-1].startswith("error: ")
 
-
     def test_out_of_memory_is_a_data_error(self, tmp_path):
         # 64 lefts on the eighth grid over a length-16 domain need far more
         # distinct states than the 200 MB address-space cap allows; the

@@ -51,7 +51,6 @@ class TestInstanceBasics:
         assert eager_instance_estimate(2) == 4
         assert eager_instance_estimate(10) == 4 * 5**8
 
-
     def test_dropped_instance_leaves_no_cycles(self):
         # States hold no reference to their generator, so reference counting
         # alone frees a whole instance, also while an error unwinds.
