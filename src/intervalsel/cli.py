@@ -484,7 +484,7 @@ def dispatch(argv) -> int:
         harness.ValidationError,
         gadget_mod.GadgetInvariantError,
     ) as exc:
-        code, message = 1, f"error: {exc}"
+        code, message = 1, f"error: {str(exc) or type(exc).__name__}"
     except ValueError as exc:
         # UsageError, and the ValueErrors of rejected parameter combinations
         code, message = 2, f"usage error: {exc}"

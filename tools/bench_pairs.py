@@ -3,14 +3,14 @@
 
     python3 tools/bench_pairs.py --parent REV --change REV \\
         --workload mc-restricted:10 --workload dp-large:5 \\
-        --seed 1 --seconds 25 --out BENCH_<label>.json
+        --out BENCH_<label>.json
 
 Exports each git revision with ``git archive`` into its own fresh
 directory, so both sides run the committed files only, and runs that
-copy's unchanged ``bench/run.py --workload W --seed N --seconds S --trace 0``
-there.  ``W:P`` asks for P pairs of workload W; pair j uses seed
-``--seed + j`` on both sides, and the side that runs first alternates from
-pair to pair.  Runs are strictly sequential: the benchmark pins itself and
+copy's unchanged ``bench/run.py --workload W --seed N --trace 0`` there,
+so the benchmark's own default sets the run length.  ``W:P`` asks for P
+pairs of workload W; pair j (from 0) uses seed j + 1 on both sides, and
+the side that runs first alternates from pair to pair.  Runs are strictly sequential: the benchmark pins itself and
 its children to one CPU.
 
 The output holds, per workload and end-to-end metric of BENCHMARK.json,
@@ -55,12 +55,12 @@ def export(sha: str, dest: Path) -> Path:
     return dest
 
 
-def bench_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_once(copy: Path, workload: str, seed: int) -> dict:
     """The result line of one end-to-end benchmark run in ``copy``."""
     proc = subprocess.run(
         [
             sys.executable, "bench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+            "--seed", str(seed), "--trace", "0",
         ],
         cwd=copy,
         capture_output=True,
@@ -138,8 +138,6 @@ def main() -> int:
         "--workload", type=workload_arg, action="append", required=True,
         help="NAME or NAME:PAIRS (default 10 pairs); repeatable",
     )
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--work", type=Path, help="directory for the two copies")
     args = parser.parse_args()
@@ -150,8 +148,7 @@ def main() -> int:
         copies = {side: export(shas[side], work / side) for side in SIDES}
         spec = json.loads((copies["change"] / "BENCHMARK.json").read_text())
         report = {
-            "command": "python3 bench/run.py --workload W --seed N "
-            f"--seconds {args.seconds:g} --trace 0",
+            "command": "python3 bench/run.py --workload W --seed N --trace 0",
             "shas": shas,
             "environment": environment(),
             "workloads": {},
@@ -159,10 +156,10 @@ def main() -> int:
         for name, count in args.workload:
             results: dict = {"parent": [], "change": [], "seeds": [], "first": []}
             for j in range(count):
-                seed = args.seed + j
+                seed = j + 1
                 order = SIDES if j % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    results[side].append(bench_once(copies[side], name, seed, args.seconds))
+                    results[side].append(bench_once(copies[side], name, seed))
                 results["seeds"].append(seed)
                 results["first"].append(order[0])
                 report["workloads"][name] = summarise(spec, results)
