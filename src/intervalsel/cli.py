@@ -34,6 +34,7 @@ from .rng import SplitMix64, fisher_yates
 
 MAX_UNGUARDED_DOMAIN_LENGTH = 10  # delta 8 under the [-1, delta+1) wrapper
 SIGNIFICANT_DIGITS = 12
+ERROR_PATH_RESERVE_BYTES = 1 << 20
 
 
 class UsageError(ValueError):
@@ -355,8 +356,7 @@ def _parse_bits(hex_text: str | None, t: int, rng) -> tuple[int, ...]:
 def _cmd_gadget(args) -> int:
     if args.verify == args.simulate:
         raise UsageError("give exactly one of --verify or --simulate")
-    if args.t < gadget_mod.MIN_T:
-        raise UsageError(f"--t must be at least {gadget_mod.MIN_T}")
+    gadget_mod.check_t(args.t)  # before any bit is drawn
     seed = _resolve_seed(args.seed)
 
     if args.verify:
@@ -472,6 +472,9 @@ def dispatch(argv) -> int:
         args = parser.parse_args(_join_domain_values(list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Held back for the error path, which needs memory of its own once a
+    # run has used it all; without it the error line is sometimes lost.
+    reserve = bytes(ERROR_PATH_RESERVE_BYTES)
     try:
         return _COMMANDS[args.subcommand](args)
     except (
@@ -484,6 +487,7 @@ def dispatch(argv) -> int:
         harness.ValidationError,
         gadget_mod.GadgetInvariantError,
     ) as exc:
+        del reserve
         code, message = 1, f"error: {str(exc) or type(exc).__name__}"
     except ValueError as exc:
         # UsageError, and the ValueErrors of rejected parameter combinations

@@ -30,9 +30,8 @@ off the merged counts.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .geometry import (
     IndependentSet,
@@ -45,6 +44,12 @@ from .rng import SplitMix64, derive, fisher_yates, map_trials
 from .windows import run_windowed
 
 MIN_T = 3
+# The largest coordinate built is the left end of J_R at A = t - 1,
+# 1 + (t-1)/(t+1) + 1/t**2 + 1/t**3 = (2t**4 + t**2 + 2t + 1) / (t**3 (t+1)),
+# in lowest terms for even t.  Its numerator fits the signed 64-bit range up
+# to t = 46,341, so every construction with MIN_T <= t <= MAX_T fits (some
+# odd t beyond it fit too, as the fraction then reduces by 2).
+MAX_T = 46_341
 
 Algorithm = Callable[[Sequence[UnitInterval]], IndependentSet]
 
@@ -53,8 +58,7 @@ class GadgetInvariantError(RuntimeError):
     """A structural property of the construction failed; names the property."""
 
 
-@dataclass(frozen=True)
-class GadgetInstance:
+class GadgetInstance(NamedTuple):
     """One sampled instance: bits, arrival bijection, and the built intervals.
 
     ``clique_positions[i]`` is the stream position of clique interval i;
@@ -119,6 +123,20 @@ def wing_gap_inequality_holds(t: int) -> bool:
     return Fraction(1, t + 1) >= Fraction(1, t * t) + Fraction(1, t**3)
 
 
+def check_t(t: int) -> None:
+    """Refuse a clique size outside [MIN_T, MAX_T] with a ValueError."""
+    if t < MIN_T:
+        raise ValueError(
+            f"t must be >= {MIN_T}: for smaller t the wing gap inequality "
+            "1/(t+1) >= 1/t^2 + 1/t^3 fails and off-target intervals miss their wing"
+        )
+    if t > MAX_T:
+        raise ValueError(
+            f"t must be <= {MAX_T}: larger constructions leave the 64-bit "
+            "coordinate range"
+        )
+
+
 def build(
     t: int,
     index: int,
@@ -132,11 +150,7 @@ def build(
     0..t-1 are the clique bit items, item t the left wing, item t+1 the
     right wing.
     """
-    if t < MIN_T:
-        raise ValueError(
-            f"t must be >= {MIN_T}: for smaller t the wing gap inequality "
-            "1/(t+1) >= 1/t^2 + 1/t^3 fails and off-target intervals miss their wing"
-        )
+    check_t(t)
     if not 0 <= index < t:
         raise ValueError(f"index must lie in [0, {t})")
     if len(alice_bits) != t or len(public_bits) != t:
@@ -189,14 +203,14 @@ def sample_sigma(t: int, rng: SplitMix64) -> list[int]:
 
 def random_gadget(t: int, rng: SplitMix64) -> GadgetInstance:
     """Draw bits, a target index, and an arrival bijection uniformly."""
+    check_t(t)
     alice_bits = rng.bits(t)
     index = rng.below(t)
     public_bits = rng.bits(t)
     return build(t, index, alice_bits, public_bits, sample_sigma(t, rng))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     t: int
     index: int
     alpha: int
@@ -337,8 +351,7 @@ def resolve_algorithm(name: str) -> Algorithm:
     raise ValueError(f"unknown algorithm {name!r}")
 
 
-@dataclass(frozen=True)
-class BranchStats:
+class BranchStats(NamedTuple):
     samples: int
     successes: int
     size_sum: int
@@ -359,8 +372,7 @@ class BranchStats:
         }
 
 
-@dataclass(frozen=True)
-class ProtocolStats:
+class ProtocolStats(NamedTuple):
     """Aggregate outcome of simulating the recovery protocol."""
 
     t: int

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from . import gadget as gadget_mod
 from .geometry import (
@@ -41,8 +40,7 @@ class ValidationError(RuntimeError):
     """An algorithm output failed a hard check (independence or the alpha ceiling)."""
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class InstanceSpec(NamedTuple):
     """Recipe for a reproducible instance family.
 
     kind "independent" needs alpha; "clique" needs size; "gadget" needs t;
@@ -60,8 +58,7 @@ class InstanceSpec:
     aligned: bool = False
 
 
-@dataclass(frozen=True)
-class TrialSummary:
+class _TrialSummaryFields(NamedTuple):
     trials: int
     mean: float
     std: float
@@ -73,12 +70,22 @@ class TrialSummary:
     stderr: float
     meets_prediction: bool
 
-    def __post_init__(self):
+
+class TrialSummary(_TrialSummaryFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.min_size <= self.mean <= self.max_size <= self.alpha):
             raise ValidationError(
                 f"summary out of order: min={self.min_size} mean={self.mean} "
                 f"max={self.max_size} alpha={self.alpha}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     def to_dict(self) -> dict:
         return {
@@ -216,13 +223,13 @@ def monte_carlo(
     if trials < 1:
         raise ValueError("need at least one trial")
 
+    # Built here first, so that a bad spec is refused before any trial runs.
+    a = alpha(instance_from_spec(spec))
     sizes = map_trials(_trial_block, (spec, algorithm), trials, threads)
     count = sum(sizes.values())
     total = sum(size * n for size, n in sizes.items())
     total_sq = sum(size * size * n for size, n in sizes.items())
 
-    intervals = instance_from_spec(spec)
-    a = alpha(intervals)
     mean = total / count
     var = (total_sq - count * mean * mean) / (count - 1) if count > 1 else 0.0
     std = math.sqrt(max(var, 0.0))
@@ -258,10 +265,9 @@ def exhaustive_expectation(intervals: Sequence[UnitInterval], delta: int) -> Fra
     return Fraction(total, count)
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     trials: int
-    violations: tuple[dict, ...] = field(default_factory=tuple)
+    violations: tuple[dict, ...] = ()
 
     @property
     def violation_count(self) -> int:

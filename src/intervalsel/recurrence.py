@@ -43,9 +43,8 @@ built table is read-only and thread-safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -63,8 +62,7 @@ DELTA5_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class OutTable:
+class OutTable(NamedTuple):
     """Certified lower bounds out_lb(0..x_max), exact then floating.
 
     ``ratio_violations`` lists the x where out_lb(x+1)/(x+1) exceeds
@@ -203,16 +201,14 @@ def overall_factor(delta: int, table: OutTable) -> Bound:
     return sweep(delta, delta, table).rows[0].overall
 
 
-@dataclass(frozen=True)
-class FactorRow:
+class FactorRow(NamedTuple):
     delta: int
     restricted: Bound
     overall: Bound
     binding_alpha: int
 
 
-@dataclass(frozen=True)
-class FactorCurve:
+class FactorCurve(NamedTuple):
     """Sweep of (restricted, overall) factors over a range of window widths.
 
     The overall curve is expected, but not assumed, to be non-decreasing;

@@ -63,8 +63,7 @@ instances are independent and may run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import Domain, IndependentSet, UnitInterval, contained_in
 
@@ -87,8 +86,7 @@ def eager_instance_estimate(length: int) -> int:
     return 4 * 5 ** (length - 2)
 
 
-@dataclass(frozen=True, slots=True)
-class RunReport:
+class RunReport(NamedTuple):
     """Outcome of one streamed run plus bookkeeping counters.
 
     ``instances_touched`` counts the nodes of the lazily materialised

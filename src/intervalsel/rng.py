@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -69,10 +68,13 @@ def map_trials(block, args: tuple, n: int, threads: int) -> Counter:
     process when ``threads <= 1`` or ``n < 4``; otherwise splits the range
     into about ``4 * threads`` blocks and maps them over a process pool of
     min(threads, blocks, CPU count) workers, which needs ``block`` and
-    ``args`` to be picklable.
+    ``args`` to be picklable.  The pool module, and ``multiprocessing`` with
+    it, is imported only here, so a serial run never loads it.
     """
     if threads <= 1 or n < 4:
         return block(*args, 0, n)
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = -(-n // (threads * 4))
     starts = range(0, n, chunk)
     stops = [min(s + chunk, n) for s in starts]

@@ -13,8 +13,7 @@ are independent of one another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .geometry import IndependentSet, UnitInterval, max_independent_set
 from .restricted import InstanceState, RunReport, wrapper_domain
@@ -28,8 +27,7 @@ def windows_containing(interval: UnitInterval, delta: int) -> list[int]:
     return list(range(fl - delta + 2, fl + 1))
 
 
-@dataclass(frozen=True, slots=True)
-class WindowReport:
+class WindowReport(NamedTuple):
     origin: int
     report: RunReport
 

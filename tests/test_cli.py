@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intervalsel.cli import dispatch
+from intervalsel.gadget import MAX_T
 
 SEED = "20260810"
 
@@ -75,6 +76,22 @@ class TestDispatch:
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(["dp", "--deltas", "4"], capsys)
         assert code == 2
+
+    def test_serial_run_loads_no_pool_or_dataclasses(self):
+        # the pool module (and multiprocessing) is imported when a pool
+        # starts, and the records are built without dataclasses
+        script = (
+            "import json, sys\n"
+            "from intervalsel.cli import dispatch\n"
+            "dispatch(['montecarlo', '--alpha', '2', '--delta', '4', "
+            "'--trials', '8', '--seed', '1', '--threads', '1'])\n"
+            "unwanted = ('multiprocessing', 'concurrent.futures.process', 'dataclasses')\n"
+            "print(json.dumps([m for m in unwanted if m in sys.modules]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)
@@ -363,6 +380,22 @@ class TestGadget:
 
     def test_needs_exactly_one_mode(self, capsys):
         assert run_cli(["gadget", "--t", "4", "--seed", SEED], capsys)[0] == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["gadget", "--verify"],
+            ["gadget", "--simulate", "--threads", "2"],
+            ["montecarlo", "--kind", "gadget", "--delta", "5", "--trials", "8"],
+        ],
+    )
+    def test_t_above_the_bound_is_refused_at_once(self, command, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli([*command, "--t", str(MAX_T + 1), "--seed", SEED], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith("usage error:")
 
 
 class TestSubstream:

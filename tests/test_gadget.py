@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from intervalsel.gadget import (
+    MAX_T,
     GadgetInvariantError,
     build,
     random_gadget,
@@ -16,6 +17,7 @@ from intervalsel.gadget import (
 from intervalsel.geometry import (
     IndependentSet,
     Scalar,
+    ScalarOverflowError,
     UnitInterval,
     alpha,
     intersects,
@@ -78,6 +80,27 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(4, 0, [0] * 4, [0] * 4, [0, 0, 1, 2, 3, 4])
 
+    def test_largest_t_builds_with_the_worst_index(self):
+        # index t - 1 puts J_R, the largest coordinate, furthest right; every
+        # bit set does the same for the clique.  The even t below builds too.
+        for t in (MAX_T, MAX_T - 1):
+            g = build(t, t - 1, [1] * t, [1] * t, list(range(t + 2)))
+            assert g.wing_right.left.as_fraction() == (
+                1 + Fraction(t - 1, t + 1) + Fraction(1, t**2) + Fraction(1, t**3)
+            )
+
+    def test_t_above_the_bound_is_refused_before_drawing(self):
+        t = MAX_T + 1
+        # the bound is tight: J_R at index t - 1 leaves the 64-bit range
+        with pytest.raises(ScalarOverflowError):
+            Scalar(t - 1, t + 1) + Scalar(1, t**2) + Scalar(1, t**3) + 1
+        with pytest.raises(ValueError, match="64-bit"):
+            build(t, 0, [0] * t, [0] * t, list(range(t + 2)))
+        rng = SplitMix64(SEED)
+        with pytest.raises(ValueError, match="64-bit"):
+            random_gadget(t, rng)
+        assert rng.state == SplitMix64(SEED).state
+
     def test_gap_inequality_threshold(self):
         assert not wing_gap_inequality_holds(2)
         assert all(wing_gap_inequality_holds(t) for t in range(3, 60))
@@ -109,20 +132,14 @@ class TestVerify:
             assert hits == (0 if i == g.index else 1)
 
     def test_verify_rejects_tampering(self):
-        import dataclasses
-
         g = random_gadget(5, SplitMix64(SEED))
         # move the left wing a full unit left so the target's neighbour
         # no longer reaches it
-        broken = dataclasses.replace(
-            g, wing_left=g.wing_left.translate(-1)
-        )
+        broken = g._replace(wing_left=g.wing_left.translate(-1))
         with pytest.raises(GadgetInvariantError):
             verify(broken)
 
     def test_verify_rejects_tampered_clique_member(self):
-        import dataclasses
-
         g = random_gadget(8, SplitMix64(SEED))
         for k in (0, g.index, g.t - 1):
             others = [iv.left for j, iv in enumerate(g.clique) if j != k]
@@ -133,7 +150,7 @@ class TestVerify:
             ):
                 clique = list(g.clique)
                 clique[k] = UnitInterval(left, clique[k].label)
-                broken = dataclasses.replace(g, clique=tuple(clique))
+                broken = g._replace(clique=tuple(clique))
                 with pytest.raises(GadgetInvariantError, match="fail to intersect"):
                     verify(broken)
 

@@ -1,9 +1,9 @@
+import concurrent.futures
 import os
 from fractions import Fraction
 
 import pytest
 
-from intervalsel import rng as rng_mod
 from intervalsel.geometry import alpha, max_independent_set
 from intervalsel.harness import (
     InstanceSpec,
@@ -190,7 +190,7 @@ class TestMonteCarlo:
             def map(self, fn, *columns):
                 return map(fn, *columns)
 
-        monkeypatch.setattr(rng_mod, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         spec = InstanceSpec(kind="independent", delta=4, seed=SEED, alpha=3)
         huge = monte_carlo(spec, 40, threads=1 << 40)
         assert workers and workers[0] <= (os.cpu_count() or 1)

@@ -1,0 +1,146 @@
+"""Contracts of the record types: immutable, validated where they check
+their fields, picklable, and printed as ``Name(field=value, ...)``."""
+
+import pickle
+
+import pytest
+
+from intervalsel import (
+    Domain,
+    InstanceSpec,
+    Scalar,
+    TrialSummary,
+    UnitInterval,
+    ValidationError,
+    build_out_table,
+    monte_carlo,
+    random_gadget,
+    run_restricted,
+    simulate_protocol,
+    substream_monotonicity_test,
+    sweep,
+    verify_gadget,
+)
+from intervalsel.rng import SplitMix64
+from intervalsel.windows import WindowMap
+
+SEED = 20260810
+
+RECORD_NAMES = [
+    "UnitInterval",
+    "Domain",
+    "RunReport",
+    "WindowReport",
+    "InstanceSpec",
+    "TrialSummary",
+    "MonotonicityReport",
+    "GadgetInstance",
+    "VerificationReport",
+    "BranchStats",
+    "ProtocolStats",
+    "OutTable",
+    "FactorRow",
+    "FactorCurve",
+]
+
+
+def fields(record):
+    """Field names: a NamedTuple's, or the slots of UnitInterval and Domain."""
+    return getattr(record, "_fields", None) or type(record).__slots__
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of each record type, built through the public API."""
+    half = UnitInterval(Scalar(1, 2), "half")
+    spec = InstanceSpec(kind="independent", delta=4, seed=SEED, alpha=2)
+    windows = WindowMap(3)
+    windows.feed(half)
+    gadget = random_gadget(4, SplitMix64(SEED))
+    stats = simulate_protocol(4, 6, "oracle", SEED)
+    table = build_out_table(6)
+    curve = sweep(3, 5, table)
+    return {
+        "UnitInterval": half,
+        "Domain": Domain(0, 3),
+        "RunReport": run_restricted(4, [half, UnitInterval(Scalar(2))]),
+        "WindowReport": windows.window_reports()[0],
+        "InstanceSpec": spec,
+        "TrialSummary": monte_carlo(spec, 5, threads=1),
+        "MonotonicityReport": substream_monotonicity_test(3, SEED),
+        "GadgetInstance": gadget,
+        "VerificationReport": verify_gadget(gadget),
+        "BranchStats": stats.alice_branch,
+        "ProtocolStats": stats,
+        "OutTable": table,
+        "FactorRow": curve.rows[0],
+        "FactorCurve": curve,
+    }
+
+
+@pytest.mark.parametrize("name", RECORD_NAMES)
+def test_fields_cannot_be_assigned(records, name):
+    record = records[name]
+    assert type(record).__name__ == name
+    for field in fields(record):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("name", RECORD_NAMES)
+def test_repr_names_the_type_and_fields(records, name):
+    record = records[name]
+    shown = ", ".join(f"{f}={getattr(record, f)!r}" for f in fields(record))
+    assert repr(record) == f"{name}({shown})"
+
+
+class TestDomain:
+    @pytest.mark.parametrize("a, b", [(1, 1), (3, 1)])
+    def test_empty_or_reversed_domain_is_refused(self, a, b):
+        with pytest.raises(ValueError, match="requires a < b"):
+            Domain(a, b)
+
+    def test_keyword_construction(self):
+        d = Domain(b=4, a=-1)
+        assert (d.a, d.b, d.length, str(d)) == (-1, 4, 5, "[-1, 4)")
+
+
+class TestTrialSummary:
+    FIELDS = dict(
+        trials=4,
+        mean=2.0,
+        std=0.5,
+        min_size=1,
+        max_size=3,
+        alpha=3,
+        empirical_factor=2 / 3,
+        predicted_bound=2.0,
+        stderr=0.25,
+        meets_prediction=True,
+    )
+
+    def test_ordered_fields_are_accepted(self):
+        assert TrialSummary(**self.FIELDS).to_dict()["min"] == 1
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"min_size": 3}, {"mean": 3.5}, {"max_size": 4}, {"mean": 0.5}],
+    )
+    def test_fields_out_of_order_are_refused(self, changes):
+        with pytest.raises(ValidationError, match="out of order"):
+            TrialSummary(**{**self.FIELDS, **changes})
+        with pytest.raises(ValidationError, match="out of order"):
+            TrialSummary(**self.FIELDS)._replace(**changes)
+
+
+@pytest.mark.parametrize(
+    "name", ["InstanceSpec", "UnitInterval", "RunReport", "Domain", "TrialSummary"]
+)
+def test_pickle_round_trip(records, name):
+    # InstanceSpec crosses the process pool of monte_carlo
+    record = records[name]
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record)
+    assert copy == record
