@@ -175,8 +175,9 @@ def build(
         clique.append(UnitInterval(left, label=f"clique:{i}"))
 
     base = Scalar(index, t + 1)
-    wing_left = UnitInterval(base - Scalar(1, t_cu) - 1, label="wing:L")
-    wing_right = UnitInterval(base + Scalar(1, t_sq) + Scalar(1, t_cu) + 1, label="wing:R")
+    one = Scalar(1)
+    wing_left = UnitInterval(base - Scalar(1, t_cu) - one, label="wing:L")
+    wing_right = UnitInterval(base + Scalar(1, t_sq) + Scalar(1, t_cu) + one, label="wing:R")
 
     return GadgetInstance(
         t=t,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
@@ -26,8 +26,6 @@ class ScalarOverflowError(ArithmeticError):
 class ParseError(ValueError):
     """Malformed coordinate or interval text."""
 
-
-ScalarLike = Union["Scalar", int, str, Fraction]
 
 # Bounds on coordinate text.  Inside them the largest integer Fraction can
 # build has about 2,000 digits, which is cheap to build and to print; a
@@ -53,9 +51,10 @@ def _decimal_exponent(body: str) -> int:
 class Scalar:
     """A reduced rational with 64-bit numerator and positive 64-bit denominator.
 
-    Always stored with gcd(|num|, den) = 1 and den > 0.  Results of +, -, *
-    are range-checked; comparisons are exact (intermediate cross products are
-    computed with Python integers and never stored).
+    Always stored with gcd(|num|, den) = 1 and den > 0.  Operands are
+    Scalars only.  Results of + and - are range-checked; comparisons are
+    exact (intermediate cross products are computed with Python integers and
+    never stored).
     """
 
     __slots__ = ("num", "den")
@@ -79,18 +78,6 @@ class Scalar:
 
     def __reduce__(self):
         return (Scalar, (self.num, self.den))
-
-    @classmethod
-    def coerce(cls, value: ScalarLike) -> "Scalar":
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, int):
-            return cls(value)
-        if isinstance(value, Fraction):
-            return cls(value.numerator, value.denominator)
-        if isinstance(value, str):
-            return cls.parse(value)
-        raise TypeError(f"cannot interpret {value!r} as an exact coordinate")
 
     @classmethod
     def parse(cls, text: str) -> "Scalar":
@@ -122,78 +109,42 @@ class Scalar:
                 f"coordinate {body!r} outside the 64-bit range"
             ) from None
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
     def floor(self) -> int:
         return self.num // self.den
 
-    def __add__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.coerce(other)
-        return Scalar(self.num * o.den + o.num * self.den, self.den * o.den)
+    def __add__(self, other: "Scalar") -> "Scalar":
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    def __radd__(self, other: ScalarLike) -> "Scalar":
-        return self.__add__(other)
-
-    def __sub__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.coerce(other)
-        return Scalar(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __rsub__(self, other: ScalarLike) -> "Scalar":
-        return Scalar.coerce(other).__sub__(self)
-
-    def __mul__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.coerce(other)
-        return Scalar(self.num * o.num, self.den * o.den)
-
-    def __rmul__(self, other: ScalarLike) -> "Scalar":
-        return self.__mul__(other)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.num, self.den)
-
-    def __abs__(self) -> "Scalar":
-        return Scalar(abs(self.num), self.den)
+    def __sub__(self, other: "Scalar") -> "Scalar":
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return Scalar(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Scalar):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, int):
-            return self.den == 1 and self.num == other
-        if isinstance(other, Fraction):
-            return self.num == other.numerator and self.den == other.denominator
-        return NotImplemented
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __lt__(self, other) -> bool:
-        o = Scalar.coerce(other)
-        return self.num * o.den < o.num * self.den
-
-    def __le__(self, other) -> bool:
-        o = Scalar.coerce(other)
-        return self.num * o.den <= o.num * self.den
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return self.num * other.den < other.num * self.den
 
     def __gt__(self, other) -> bool:
-        o = Scalar.coerce(other)
-        return self.num * o.den > o.num * self.den
-
-    def __ge__(self, other) -> bool:
-        o = Scalar.coerce(other)
-        return self.num * o.den >= o.num * self.den
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return self.num * other.den > other.num * self.den
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
-
-    def __float__(self) -> float:
-        return self.num / self.den
 
     def __str__(self) -> str:
         return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
 
     def __repr__(self) -> str:
         return f"Scalar({self.num}, {self.den})"
-
-
-ONE = Scalar(1)
 
 
 # UnitInterval and Domain are plain slotted classes rather than NamedTuples:
@@ -233,10 +184,13 @@ class UnitInterval:
 
     @property
     def right(self) -> Scalar:
-        return self.left + ONE
+        left = self.left
+        return Scalar(left.num + left.den, left.den)
 
-    def translate(self, offset: ScalarLike) -> "UnitInterval":
-        return UnitInterval(self.left + offset, self.label)
+    def translate(self, k: int) -> "UnitInterval":
+        """The interval shifted by the integer k, such as a window origin."""
+        left = self.left
+        return UnitInterval(Scalar(left.num + k * left.den, left.den), self.label)
 
     def __str__(self) -> str:
         return f"[{self.left}, {self.right}]"

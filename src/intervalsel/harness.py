@@ -32,6 +32,13 @@ from .windows import run_windowed
 
 MAX_EXHAUSTIVE = 8
 DEFAULT_JITTER_DENOMINATOR = 1 << 20
+# A gadget instance is the construction shifted right by 2.  Its largest
+# coordinate is the shifted left end of J_R at index t - 1,
+# 3 + (t-1)/(t+1) + 1/t**2 + 1/t**3 = (4t**4 + 2t**3 + t**2 + 2t + 1) / (t**3 (t+1)),
+# in lowest terms for even t.  Its numerator fits the signed 64-bit range up
+# to t = 38,967, so every shifted construction with t <= MAX_GADGET_T fits
+# (some odd t beyond it fit too, as for gadget.MAX_T).
+MAX_GADGET_T = 38_967
 
 AlgorithmName = Literal["restricted", "windowed"]
 
@@ -163,6 +170,11 @@ def instance_from_spec(spec: InstanceSpec) -> list[UnitInterval]:
     if spec.kind == "gadget":
         if spec.t is None:
             raise ValueError("gadget instances need t")
+        if spec.t > MAX_GADGET_T:
+            raise ValueError(
+                f"t must be <= {MAX_GADGET_T}: larger gadget instances, shifted "
+                "right by 2, leave the 64-bit coordinate range"
+            )
         g = gadget_mod.random_gadget(spec.t, derive(spec.seed, 0))
         # Shift right so the construction fits [0, delta); width just above 4.
         if spec.delta < 5:

@@ -17,7 +17,7 @@ from intervalsel.recurrence import Bound, OutTable
 
 def u(left, label=None) -> UnitInterval:
     """Unit interval from an int, Fraction, decimal string or Scalar left end."""
-    return UnitInterval(Scalar.coerce(left), label)
+    return UnitInterval(Scalar.parse(str(left)), label)
 
 
 def brute_force_alpha(intervals) -> int:

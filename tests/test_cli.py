@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from intervalsel.cli import dispatch
 from intervalsel.gadget import MAX_T
+from intervalsel.harness import MAX_GADGET_T
 
 SEED = "20260810"
 
@@ -252,6 +253,21 @@ class TestRun:
         assert "error:" in err and "64-bit range" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "lines",
+        [["-9223372036854775808"], ["-9223372036854775807", "-9223372036854775805"]],
+    )
+    def test_lowest_left_ends_run_unrestricted(self, lines, tmp_path, capsys):
+        # window origins reach below -2^63, while every shifted coordinate is small
+        path = tmp_path / "low.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(
+            ["run", "--unrestricted", "--delta", "4", "--input", str(path)], capsys
+        )
+        assert code == 0
+        assert "error:" not in err
+        assert json.loads(out)["output_intervals"] == lines
+
     def test_domain_and_unrestricted_conflict(self, interval_file, capsys):
         code, _, _ = run_cli(
             [
@@ -308,6 +324,18 @@ class TestMonteCarlo:
         )
         assert code == 0
         assert json.loads(out)["alpha"] == 3
+
+    def test_gadget_t_above_the_shift_bound_is_refused(self, capsys):
+        code, out, err = run_cli(
+            [
+                "montecarlo", "--kind", "gadget", "--t", str(MAX_GADGET_T + 1),
+                "--delta", "5", "--trials", "10", "--seed", SEED, "--threads", "1",
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith("usage error: t must be <=")
 
     def test_alpha_out_of_range_is_usage(self, capsys):
         code, _, _ = run_cli(

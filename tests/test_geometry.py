@@ -1,14 +1,18 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from intervalsel.geometry import (
+    I64_MAX,
+    I64_MIN,
     Domain,
     IndependentSet,
     ParseError,
     Scalar,
     ScalarOverflowError,
+    UnitInterval,
     alpha,
     contained_in,
     format_intervals,
@@ -24,6 +28,7 @@ from brute import brute_force_alpha, random_intervals, u
 small_rational = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=1 << 16
 )
+near_64_bit_edges = st.integers(I64_MIN, I64_MIN + 3) | st.integers(I64_MAX - 3, I64_MAX)
 
 
 class TestScalar:
@@ -60,8 +65,6 @@ class TestScalar:
         with pytest.raises(ScalarOverflowError):
             big + big
         with pytest.raises(ScalarOverflowError):
-            big * Scalar(3)
-        with pytest.raises(ScalarOverflowError):
             Scalar(1, (1 << 62) + 1) + Scalar(1, (1 << 62) - 1)
         with pytest.raises(ScalarOverflowError):
             Scalar(1 << 63, 1)
@@ -80,7 +83,35 @@ class TestScalar:
     def test_ordering_matches_fractions(self, x, y):
         sx, sy = Scalar(x.numerator, x.denominator), Scalar(y.numerator, y.denominator)
         assert (sx < sy) == (x < y)
+        assert (sx > sy) == (x > y)
         assert (sx == sy) == (x == y)
+
+    @pytest.mark.parametrize("other", [1, Fraction(1, 2), "1/2", 0.5])
+    def test_operands_are_scalars_only(self, other):
+        half = Scalar(1, 2)
+        assert half != other
+        for op in (operator.lt, operator.gt, operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(half, other)
+            with pytest.raises(TypeError):
+                op(other, half)
+
+    @given(
+        num=st.integers(I64_MIN, I64_MAX) | near_64_bit_edges,
+        den=st.just(1) | st.integers(1, I64_MAX),
+        k=st.integers(-(1 << 64), 1 << 64),
+    )
+    def test_integer_shift_matches_fractions(self, num, den, k):
+        iv = UnitInterval(Scalar(num, den), "x")
+        x = Fraction(num, den)
+        for shift, want in ((lambda: iv.translate(k).left, x + k), (lambda: iv.right, x + 1)):
+            if I64_MIN <= want.numerator <= I64_MAX:
+                got = shift()
+                assert Fraction(got.num, got.den) == want
+            else:
+                with pytest.raises(ScalarOverflowError):
+                    shift()
+        assert iv.translate(0) == iv
 
 
 class TestPredicates:

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from intervalsel.geometry import alpha, max_independent_set
+from intervalsel import gadget as gadget_mod
+from intervalsel.geometry import ScalarOverflowError, alpha, max_independent_set
 from intervalsel.harness import (
+    MAX_GADGET_T,
     InstanceSpec,
     exhaustive_expectation,
     gen_clique,
@@ -106,6 +108,21 @@ class TestGenerators:
         stream = instance_from_spec(spec)
         assert len(stream) == 8
         assert alpha(stream) == 3
+
+    def test_gadget_shift_bound_is_tight(self, monkeypatch):
+        # index t - 1 with every bit set puts the largest coordinate, J_R,
+        # furthest right; the shifted construction fits at the bound
+        t = MAX_GADGET_T
+        g = gadget_mod.build(t, t - 1, [1] * t, [1] * t, list(range(t + 2)))
+        shifted = [iv.translate(2).left for iv in g.stream]
+        assert max(shifted) == g.wing_right.translate(2).left
+        t += 1
+        g = gadget_mod.build(t, t - 1, [1] * t, [1] * t, list(range(t + 2)))
+        with pytest.raises(ScalarOverflowError):
+            g.wing_right.translate(2)
+        monkeypatch.setattr(gadget_mod, "random_gadget", lambda *_: pytest.fail("drawn"))
+        with pytest.raises(ValueError, match="64-bit"):
+            instance_from_spec(InstanceSpec(kind="gadget", delta=5, seed=SEED, t=t))
 
 
 class TestExhaustive:
