@@ -59,9 +59,9 @@ from .recurrence import (
 )
 from .restricted import (
     DomainError,
+    GridBudgetError,
     InstanceState,
     RunReport,
-    eager_instance_estimate,
     run_on_stream,
     run_restricted,
     wrapper_domain,

@@ -7,7 +7,8 @@ stdout.  Seeds are never read from the environment: give --seed or accept
 an auto-generated one, which is printed with the configuration.
 
 Exit status: 0 on success; 1 when the input cannot be read, decoded or
-parsed, lies outside the domain, or a verification or data check fails;
+parsed, lies outside the domain, a run exceeds the grid-cell budget of
+``restricted`` or memory runs out, or a verification or data check fails;
 2 on usage errors.  ``dispatch`` alone maps exceptions to these codes.
 """
 
@@ -24,15 +25,9 @@ from pathlib import Path
 from . import gadget as gadget_mod
 from . import harness, recurrence, windows
 from .geometry import ParseError, alpha, format_intervals, parse_intervals
-from .restricted import (
-    Domain,
-    DomainError,
-    eager_instance_estimate,
-    run_on_stream,
-)
+from .restricted import Domain, DomainError, run_on_stream
 from .rng import SplitMix64, fisher_yates
 
-MAX_UNGUARDED_DOMAIN_LENGTH = 10  # delta 8 under the [-1, delta+1) wrapper
 SIGNIFICANT_DIGITS = 12
 ERROR_PATH_RESERVE_BYTES = 1 << 20
 
@@ -85,7 +80,6 @@ def _add_dp(sub) -> None:
     p = sub.add_parser("dp", help="factor table for one delta or a sweep")
     p.add_argument("--delta", type=int, help="window width to evaluate")
     p.add_argument("--sweep", metavar="MIN..MAX", help="evaluate a range of deltas")
-    p.add_argument("--exact-until", type=int, default=recurrence.DEFAULT_EXACT_UNTIL)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
@@ -109,12 +103,11 @@ def _cmd_dp(args) -> int:
             "subcommand": "dp",
             "delta_min": lo,
             "delta_max": hi,
-            "exact_until": args.exact_until,
             "format": args.format,
         }
     )
     start = time.perf_counter()
-    table = recurrence.build_out_table(hi - 1, exact_until=args.exact_until)
+    table = recurrence.build_out_table(hi - 1)
     metrics = {
         "x_max": table.x_max,
         "build_s": time.perf_counter() - start,
@@ -175,11 +168,6 @@ def _add_run(sub) -> None:
     p.add_argument("--input", required=True, help="interval file ('-' for stdin)")
     p.add_argument("--order", choices=("given", "shuffle"), default="given")
     p.add_argument("--seed", type=int)
-    p.add_argument(
-        "--allow-large",
-        action="store_true",
-        help="permit domains longer than 10 despite exponential memory",
-    )
 
 
 def _cmd_run(args) -> int:
@@ -199,7 +187,6 @@ def _cmd_run(args) -> int:
         "order": args.order,
         "seed": seed,
         "intervals": len(stream),
-        "allow_large": args.allow_large,
     }
 
     if args.unrestricted:
@@ -234,18 +221,6 @@ def _cmd_run(args) -> int:
         domain = Domain(a, b)
     except ValueError as exc:
         raise UsageError(f"bad domain {args.domain!r}: {exc}")
-    if domain.length > MAX_UNGUARDED_DOMAIN_LENGTH:
-        estimate = eager_instance_estimate(domain.length)
-        print(
-            f"eager recursion tree for domain length {domain.length}: "
-            f"about {estimate} instances",
-            file=sys.stderr,
-        )
-        if not args.allow_large:
-            raise UsageError(
-                f"domain length {domain.length} > {MAX_UNGUARDED_DOMAIN_LENGTH}; "
-                "memory is exponential in the length, pass --allow-large to proceed"
-            )
     config.update({"mode": "restricted", "domain": [domain.a, domain.b]})
     _echo_config(config)
     report = run_on_stream(domain, stream)

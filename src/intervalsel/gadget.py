@@ -348,6 +348,8 @@ def resolve_algorithm(name: str) -> Algorithm:
         return _first_only_algorithm
     if name.startswith("windowed:"):
         delta = int(name.split(":", 1)[1])
+        if delta < 2:  # refused here, before a sample block or a pool starts
+            raise ValueError("delta must be at least 2")
         return lambda stream: run_windowed(delta, stream)
     raise ValueError(f"unknown algorithm {name!r}")
 

@@ -204,18 +204,19 @@ def _validate_output(output: IndependentSet, ceiling: int) -> int:
 
 
 def _trial_block(
-    spec: InstanceSpec,
+    intervals: list[UnitInterval],
+    ceiling: int,
+    delta: int,
+    seed: int,
     algorithm: AlgorithmName,
     start: int,
     stop: int,
 ) -> Counter:
     """Count of trials per output size over a trial range."""
-    intervals = instance_from_spec(spec)
-    ceiling = alpha(intervals)
     sizes = Counter()
     for k in range(start, stop):
-        order = fisher_yates(intervals, derive(spec.seed, k + 1))
-        output = _run_algorithm(algorithm, spec.delta, order)
+        order = fisher_yates(intervals, derive(seed, k + 1))
+        output = _run_algorithm(algorithm, delta, order)
         sizes[_validate_output(output, ceiling)] += 1
     return sizes
 
@@ -235,9 +236,11 @@ def monte_carlo(
     if trials < 1:
         raise ValueError("need at least one trial")
 
-    # Built here first, so that a bad spec is refused before any trial runs.
-    a = alpha(instance_from_spec(spec))
-    sizes = map_trials(_trial_block, (spec, algorithm), trials, threads)
+    # Built once: a bad spec fails before any trial, and all blocks share it.
+    intervals = instance_from_spec(spec)
+    a = alpha(intervals)
+    block_args = (intervals, a, spec.delta, spec.seed, algorithm)
+    sizes = map_trials(_trial_block, block_args, trials, threads)
     count = sum(sizes.values())
     total = sum(size * n for size, n in sizes.items())
     total_sq = sum(size * size * n for size, n in sizes.items())

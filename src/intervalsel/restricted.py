@@ -53,9 +53,11 @@ visited state of the result.
 logical tree: a state's subtree count is the sum over its child edges of
 each child's subtree count, memoised per state.  They can be exponentially
 larger than what is held: time and memory scale with the distinct states.
-The eager tree would hold about 4 * 5**(k-2) nodes on a domain of length
-k, and ``run --domain`` still refuses domains longer than 10 without
-``--allow-large``.
+Memory is bounded by one budget: a generator charges the (k + 1)**2 cells
+of its grid to a counter of its run before allocating them, and raises
+``GridBudgetError`` past ``MAX_GRID_CELLS``.  A run holds about 5.5 cells per
+state and 24 bytes per cell (twice that in the output pass), and the count
+also bounds the few but huge grids of a large delta.
 
 A single instance is a mutable single-writer state machine; distinct
 instances are independent and may run concurrently.
@@ -75,15 +77,11 @@ class DomainError(ValueError):
     """An interval was fed to an instance whose domain does not contain it."""
 
 
-def eager_instance_estimate(length: int) -> int:
-    """Estimated node count of the eagerly built recursion tree, 4 * 5**(k-2).
+MAX_GRID_CELLS = 1 << 25
 
-    Documentation only; every run reports the exact count of the lazily
-    materialised tree as ``instances_touched``.
-    """
-    if length < 2:
-        return 1
-    return 4 * 5 ** (length - 2)
+
+class GridBudgetError(MemoryError):
+    """A run's state grids would hold more than ``MAX_GRID_CELLS`` cells."""
 
 
 class RunReport(NamedTuple):
@@ -119,15 +117,24 @@ class _Generator:
     With w = self.b - self.a + 1, ``grid[(a - self.a) * w + b - self.a]`` is
     the state on [a, b), or None until an interval inside [a, b) reaches this
     generator.  The generator's own domain is [self.a, self.b), and the
-    state on it, at index w - 1, is its root.
+    state on it, at index w - 1, is its root.  ``cells`` is the one-item
+    count of grid cells its run holds, charged before the grid is allocated.
     """
 
-    __slots__ = ("a", "b", "grid")
+    __slots__ = ("a", "b", "grid", "cells")
 
-    def __init__(self, a: int, b: int):
+    def __init__(self, a: int, b: int, cells: list[int]):
+        w = b - a + 1
+        total = cells[0] + w * w
+        if total > MAX_GRID_CELLS:
+            raise GridBudgetError(
+                f"grid-cell budget exceeded: this run needs at least {total} cells "
+                f"of state grids, more than MAX_GRID_CELLS = {MAX_GRID_CELLS}"
+            )
+        cells[0] = total
         self.a = a
         self.b = b
-        w = b - a + 1
+        self.cells = cells
         self.grid: list[_State | None] = [None] * (w * w)
 
     def get(self, a: int, b: int) -> _State | None:
@@ -185,7 +192,7 @@ def _feed(gen: _Generator, iv: UnitInterval, num: int, den: int, fl: int) -> Non
             # state with a pass-through parent (a > a0) is someone's T_R.
             elif ai and num * lo.den > (lo.num + lo.den) * den:
                 if s.cr is None:
-                    s.cr = _Generator(a0 + ai, a0 + idx - row)
+                    s.cr = _Generator(a0 + ai, a0 + idx - row, gen.cells)
                 _feed(s.cr, iv, num, den, fl)
             hi = s.hi.left
             if num * hi.den > hi.num * den:
@@ -194,7 +201,7 @@ def _feed(gen: _Generator, iv: UnitInterval, num: int, den: int, fl: int) -> Non
             # state with a pass-through parent (b < b0)
             elif idx != last and num * hi.den < (hi.num - hi.den) * den:
                 if s.cl is None:
-                    s.cl = _Generator(a0 + ai, a0 + idx - row)
+                    s.cl = _Generator(a0 + ai, a0 + idx - row, gen.cells)
                 _feed(s.cl, iv, num, den, fl)
 
 
@@ -289,13 +296,17 @@ def _picks(g: _Generator, a: int, b: int, s: _State, memo: dict) -> list[UnitInt
 
 
 class InstanceState:
-    """The recursive algorithm on one integer domain, as a DAG of shared states."""
+    """The recursive algorithm on one integer domain, as a DAG of shared states.
+
+    ``cells`` is the one-item grid-cell count of a run, shared by the windows
+    of a WindowMap; by default an instance counts its own.
+    """
 
     __slots__ = ("domain", "_gen")
 
-    def __init__(self, domain: Domain):
+    def __init__(self, domain: Domain, cells: list[int] | None = None):
         self.domain = domain
-        self._gen = _Generator(domain.a, domain.b)
+        self._gen = _Generator(domain.a, domain.b, [0] if cells is None else cells)
 
     def feed(self, interval: UnitInterval) -> None:
         """Route one arriving interval through every reachable state.

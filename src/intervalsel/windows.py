@@ -5,7 +5,8 @@ is fully contained in exactly delta - 1 such windows.  Each arriving
 interval activates its containing windows (lazily: inactive windows use no
 space), and is fed, translated by -i, into a per-window recursive instance
 running on [-1, delta + 1).  At the end the window outputs are translated
-back and a maximum independent set of their union is returned.
+back and a maximum independent set of their union is returned.  All windows
+of one map count their grid cells against one ``MAX_GRID_CELLS`` budget.
 
 A WindowMap is single-writer during a stream; the per-window instances
 are independent of one another.
@@ -35,13 +36,14 @@ class WindowReport(NamedTuple):
 class WindowMap:
     """Lazily activated length-delta windows, each backed by one instance."""
 
-    __slots__ = ("delta", "_active")
+    __slots__ = ("delta", "_active", "_cells")
 
     def __init__(self, delta: int):
         if delta < 2:
             raise ValueError("delta must be at least 2")
         self.delta = delta
         self._active: dict[int, InstanceState] = {}
+        self._cells = [0]  # grid cells of all windows, against one budget
 
     @property
     def active_origins(self) -> list[int]:
@@ -56,7 +58,7 @@ class WindowMap:
         for origin in windows_containing(interval, self.delta):
             inst = self._active.get(origin)
             if inst is None:
-                inst = InstanceState(wrapper_domain(self.delta))
+                inst = InstanceState(wrapper_domain(self.delta), self._cells)
                 self._active[origin] = inst
             inst.feed(interval.translate(-origin))
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intervalsel import gadget as gadget_mod, restricted
 from intervalsel.cli import dispatch
 from intervalsel.gadget import MAX_T
 from intervalsel.harness import MAX_GADGET_T
@@ -94,6 +95,19 @@ class TestDispatch:
         )
         assert json.loads(proc.stdout.splitlines()[-1]) == []
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["dp", "--delta", "4", "--exact-until", "64"],
+            ["run", "--domain", "-1,5", "--input", "-", "--allow-large"],
+        ],
+    )
+    def test_removed_options_are_unknown(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(["frobnicate"], capsys)
         assert code == 2
@@ -138,9 +152,6 @@ class TestDp:
         code, _, err = run_cli(["dp", "--sweep", "9..5"], capsys)
         assert code == 2
         assert "usage error: need 2 <= delta_min <= delta_max" in err
-
-    def test_bad_exact_until(self, capsys):
-        assert run_cli(["dp", "--delta", "4", "--exact-until", "1"], capsys)[0] == 2
 
     def test_golden_stdout(self, capsys):
         for args, digest in GOLDEN_DP_STDOUT.items():
@@ -221,17 +232,18 @@ class TestRun:
         assert code == 1
         assert "not contained" in err
 
-    def test_large_domain_needs_override(self, interval_file, capsys):
-        code, _, err = run_cli(
-            ["run", "--domain", "0,12", "--input", interval_file], capsys
-        )
-        assert code == 2
-        assert "39062500" in err  # eager tree estimate is printed first
+    def test_large_domain_runs_within_budget(self, interval_file, tmp_path, capsys):
+        # Only the grid-cell budget limits a domain: a short stream on a
+        # long domain holds few states and runs.
+        one = tmp_path / "one.txt"
+        one.write_text("3/2\n")
+        code, out, err = run_cli(["run", "--domain", "0,11", "--input", str(one)], capsys)
+        assert code == 0, err
+        assert json.loads(out)["output_size"] == 1
         code, out, err = run_cli(
-            ["run", "--domain", "-1,12", "--input", interval_file, "--allow-large"],
-            capsys,
+            ["run", "--domain", "-1,12", "--input", interval_file], capsys
         )
-        assert code == 0
+        assert code == 0, err
         assert json.loads(out)["output_size"] == 2
 
     @pytest.mark.parametrize(
@@ -426,6 +438,24 @@ class TestGadget:
         assert err.splitlines()[-1].startswith("usage error:")
 
 
+    @pytest.mark.parametrize("delta", ["1", "-3"])
+    def test_small_window_is_refused_before_sampling(self, delta, monkeypatch, capsys):
+        def no_samples(*args):
+            raise AssertionError("samples ran before the algorithm was refused")
+
+        monkeypatch.setattr(gadget_mod, "map_trials", no_samples)
+        code, out, err = run_cli(
+            [
+                "gadget", "--t", "4", "--simulate", "--algorithm", f"windowed:{delta}",
+                "--threads", "2", "--samples", "8", "--seed", SEED,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == "usage error: delta must be at least 2"
+
+
 class TestSubstream:
     def test_clean_report(self, capsys):
         code, out, _ = run_cli(
@@ -548,7 +578,7 @@ class TestExitCodes:
         proc = subprocess.run(
             [
                 sys.executable, "-m", "intervalsel", "run", "--domain", "0,16",
-                "--allow-large", "--input", str(path),
+                "--input", str(path),
             ],
             capture_output=True,
             text=True,
@@ -560,6 +590,66 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.splitlines()[-1] == "error: MemoryError"
+        assert "Traceback" not in proc.stderr
+
+
+class TestGridBudget:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--domain", "-1,12", "--input", "INPUT"],
+            ["run", "--unrestricted", "--delta", "9", "--input", "INPUT"],
+            [
+                "montecarlo", "--alpha", "3", "--delta", "9", "--trials", "4",
+                "--seed", SEED, "--threads", "1",
+            ],
+            [
+                "montecarlo", "--alpha", "3", "--delta", "9", "--trials", "4",
+                "--seed", SEED, "--threads", "1", "--algorithm", "windowed",
+            ],
+            [
+                "gadget", "--t", "4", "--simulate", "--algorithm", "windowed:9",
+                "--samples", "4", "--seed", SEED, "--threads", "1",
+            ],
+        ],
+    )
+    def test_every_entry_point_is_bounded(self, command, interval_file, monkeypatch, capsys):
+        # A delta-9 root grid holds 12**2 = 144 cells.
+        monkeypatch.setattr(restricted, "MAX_GRID_CELLS", 100)
+        args = [interval_file if arg == "INPUT" else arg for arg in command]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("error: grid-cell budget exceeded:")
+        assert "MAX_GRID_CELLS = 100" in err
+
+    def test_large_delta_is_refused_before_allocating(self, tmp_path):
+        # One window's root grid at delta 100000 holds about 1e10 cells; the
+        # budget refuses it before the list is allocated, so the run ends at
+        # once with the budget's message, not with a MemoryError.
+        path = tmp_path / "one.txt"
+        path.write_text("0\n")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "intervalsel", "run", "--unrestricted",
+                "--delta", "100000", "--input", str(path),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap_address_space,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        )
+        assert time.perf_counter() - start < 10.0
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1].startswith("error: grid-cell budget exceeded:")
         assert "Traceback" not in proc.stderr
 
 

@@ -232,6 +232,9 @@ class TestProtocol:
         assert resolve_algorithm("windowed:3") is not None
         with pytest.raises(ValueError):
             resolve_algorithm("quantum")
+        for name in ("windowed:1", "windowed:-3"):
+            with pytest.raises(ValueError, match="delta must be at least 2"):
+                resolve_algorithm(name)
 
 
 class TestStreamDistribution:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from intervalsel import gadget as gadget_mod
+from intervalsel import gadget as gadget_mod, harness
 from intervalsel.geometry import ScalarOverflowError, alpha, max_independent_set
 from intervalsel.harness import (
     MAX_GADGET_T,
@@ -22,6 +22,25 @@ from intervalsel.rng import SplitMix64, derive, fisher_yates, mix64
 from brute import random_intervals, u
 
 SEED = 20260810
+
+
+class InProcessPool:
+    """A process-pool stand-in that maps in this process and records the
+    worker counts it was asked for."""
+
+    workers: list[int] = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *columns):
+        return map(fn, *columns)
 
 
 class TestRng:
@@ -192,26 +211,34 @@ class TestMonteCarlo:
             assert serial == parallel
 
     def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
-        workers = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *columns):
-                return map(fn, *columns)
-
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        InProcessPool.workers.clear()
         spec = InstanceSpec(kind="independent", delta=4, seed=SEED, alpha=3)
         huge = monte_carlo(spec, 40, threads=1 << 40)
+        workers = InProcessPool.workers
         assert workers and workers[0] <= (os.cpu_count() or 1)
         assert huge == monte_carlo(spec, 40, threads=1)
+
+    def test_instance_is_built_once_per_run(self, tmp_path, monkeypatch):
+        # Blocks get the parsed intervals, so a custom file is read once and
+        # every block of a parallel run sees the same instance.
+        path = tmp_path / "instance.txt"
+        path.write_text("1/3\n7/4\n3\n")
+        spec = InstanceSpec(kind="custom-file", delta=5, seed=SEED, path=str(path))
+        serial = monte_carlo(spec, 40, threads=1)
+        assert monte_carlo(spec, 40, threads=2) == serial
+        built = []
+
+        def counted(spec):
+            built.append(spec)
+            return instance_from_spec(spec)
+
+        monkeypatch.setattr(harness, "instance_from_spec", counted)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        for threads in (1, 2):
+            built.clear()
+            assert monte_carlo(spec, 40, threads=threads) == serial
+            assert len(built) == 1
 
     def test_needs_a_trial(self):
         spec = InstanceSpec(kind="independent", delta=4, seed=SEED, alpha=2)

@@ -4,12 +4,13 @@ from itertools import permutations
 
 import pytest
 
+from intervalsel import restricted
 from intervalsel.geometry import Domain, alpha
 from intervalsel.harness import gen_independent, shuffle
 from intervalsel.restricted import (
     DomainError,
+    GridBudgetError,
     InstanceState,
-    eager_instance_estimate,
     run_on_stream,
     run_restricted,
     wrapper_domain,
@@ -47,10 +48,6 @@ class TestInstanceBasics:
         with pytest.raises(DomainError):
             inst.feed(u(2))  # right endpoint hits the open boundary
 
-    def test_eager_estimate(self):
-        assert eager_instance_estimate(2) == 4
-        assert eager_instance_estimate(10) == 4 * 5**8
-
     def test_dropped_instance_leaves_no_cycles(self):
         # States hold no reference to their generator, so reference counting
         # alone frees a whole instance, also while an error unwinds.
@@ -65,6 +62,48 @@ class TestInstanceBasics:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _grid_cells(gen) -> int:
+    """Cells of a generator's grid and of every generator below it."""
+    total = len(gen.grid)
+    for s in gen.grid:
+        if s is not None:
+            total += sum(_grid_cells(c) for c in (s.cr, s.cl) if c is not None)
+    return total
+
+
+class TestGridBudget:
+    def test_count_covers_every_generator(self):
+        rng = SplitMix64(4242)
+        for _ in range(30):
+            delta = 2 + rng.below(6)
+            inst = InstanceState(wrapper_domain(delta))
+            for iv in random_intervals(rng, delta, rng.below(9)):
+                inst.feed(iv)
+            assert inst._gen.cells[0] == _grid_cells(inst._gen)
+
+    def test_feed_is_charged_before_a_child_grid(self, monkeypatch):
+        # [2.5, 3.5) then [0, 1) on [0, 5): the state on [0, 4) takes a
+        # conditional generator A_L(4) on [0, 4), a 5 x 5 grid.
+        stream = [u("5/2"), u(0)]
+        monkeypatch.setattr(restricted, "MAX_GRID_CELLS", 36 + 25)
+        fits = InstanceState(Domain(0, 5))
+        for iv in stream:
+            fits.feed(iv)
+        assert fits._gen.cells == [61]
+        monkeypatch.setattr(restricted, "MAX_GRID_CELLS", 36 + 24)
+        tight = InstanceState(Domain(0, 5))
+        tight.feed(stream[0])
+        with pytest.raises(GridBudgetError, match="at least 61 cells"):
+            tight.feed(stream[1])
+        monkeypatch.setattr(restricted, "MAX_GRID_CELLS", 35)
+        with pytest.raises(GridBudgetError):
+            InstanceState(Domain(0, 5))
+
+    def test_huge_domain_is_refused_before_allocating(self):
+        with pytest.raises(MemoryError, match="grid-cell budget exceeded"):
+            InstanceState(Domain(0, 10**9))
 
 
 class TestFeedTraces:

@@ -3,8 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from intervalsel import restricted
 from intervalsel.geometry import alpha
-from intervalsel.restricted import run_restricted
+from intervalsel.restricted import (
+    GridBudgetError,
+    InstanceState,
+    run_restricted,
+    wrapper_domain,
+)
 from intervalsel.rng import SplitMix64, fisher_yates
 from intervalsel.windows import WindowMap, run_windowed, windows_containing
 
@@ -63,6 +69,18 @@ class TestWindowMap:
         wm = WindowMap(4)
         wm.feed(u("-1234/7"))
         assert len(wm.merge_output()) == 1
+
+    def test_windows_share_one_grid_budget(self, monkeypatch):
+        # [1/2, 3/2) lies in the windows at origins -1 and 0 of delta 3; a
+        # single interval creates no conditional generator, so each window
+        # holds only its 6 x 6 root grid.
+        monkeypatch.setattr(restricted, "MAX_GRID_CELLS", 50)
+        for origin in (-1, 0):
+            alone = InstanceState(wrapper_domain(3))
+            alone.feed(u("1/2").translate(-origin))
+            assert alone._gen.cells == [36]
+        with pytest.raises(GridBudgetError):
+            WindowMap(3).feed(u("1/2"))
 
     def test_space_accounting_against_alpha(self):
         rng = SplitMix64(31337)
