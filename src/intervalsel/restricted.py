@@ -54,10 +54,11 @@ logical tree: a state's subtree count is the sum over its child edges of
 each child's subtree count, memoised per state.  They can be exponentially
 larger than what is held: time and memory scale with the distinct states.
 Memory is bounded by one budget: a generator charges the (k + 1)**2 cells
-of its grid to a counter of its run before allocating them, and raises
-``GridBudgetError`` past ``MAX_GRID_CELLS``.  A run holds about 5.5 cells per
-state and 24 bytes per cell (twice that in the output pass), and the count
-also bounds the few but huge grids of a large delta.
+of its grid to a counter of its run (one instance, or all windows of a
+WindowMap) before allocating them, and raises ``GridBudgetError`` past
+``MAX_GRID_CELLS``.  A run holds about 5.5 cells per state and 24 bytes per
+cell (twice that in the output pass); cells also bound the few but huge
+grids of a large delta.
 
 A single instance is a mutable single-writer state machine; distinct
 instances are independent and may run concurrently.

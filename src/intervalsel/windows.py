@@ -5,8 +5,7 @@ is fully contained in exactly delta - 1 such windows.  Each arriving
 interval activates its containing windows (lazily: inactive windows use no
 space), and is fed, translated by -i, into a per-window recursive instance
 running on [-1, delta + 1).  At the end the window outputs are translated
-back and a maximum independent set of their union is returned.  All windows
-of one map count their grid cells against one ``MAX_GRID_CELLS`` budget.
+back and a maximum independent set of their union is returned.
 
 A WindowMap is single-writer during a stream; the per-window instances
 are independent of one another.
