@@ -30,7 +30,6 @@ from .geometry import (
     alpha,
     contained_in,
     format_intervals,
-    independent,
     intersects,
     max_independent_set,
     parse_intervals,
@@ -45,7 +44,6 @@ from .harness import (
     gen_independent,
     instance_from_spec,
     monte_carlo,
-    shuffle,
     substream_monotonicity_test,
 )
 from .recurrence import (
@@ -53,8 +51,6 @@ from .recurrence import (
     FactorRow,
     OutTable,
     build_out_table,
-    overall_factor,
-    restricted_factor,
     sweep,
 )
 from .restricted import (

@@ -371,7 +371,6 @@ def _cmd_gadget(args) -> int:
             "threads": args.threads,
         }
     )
-    gadget_mod.resolve_algorithm(args.algorithm)
     stats = gadget_mod.simulate_protocol(
         args.t, args.samples, args.algorithm, seed, threads=args.threads
     )

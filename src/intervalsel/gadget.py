@@ -40,6 +40,7 @@ from .geometry import (
     intersects,
     max_independent_set,
 )
+from .restricted import check_grid_budget, wrapper_domain
 from .rng import SplitMix64, derive, fisher_yates, map_trials
 from .windows import run_windowed
 
@@ -112,11 +113,6 @@ class GadgetInstance(NamedTuple):
         order[self.wing_right_position] = self.wing_right
         return tuple(order)  # type: ignore[arg-type]
 
-    @property
-    def alice_stream(self) -> tuple[UnitInterval, ...]:
-        """The prefix fed before the protocol state is handed over."""
-        return self.stream[: self.first_wing_position]
-
 
 def wing_gap_inequality_holds(t: int) -> bool:
     """1/(t+1) >= 1/t**2 + 1/t**3: neighbours reach their wing, exactly."""
@@ -172,12 +168,12 @@ def build(
     for i in range(t):
         bit = alice_bits[i] if sigma[i] < j_prime else public_bits[i]
         left = Scalar(i, t + 1) + Scalar(bit, t_sq)
-        clique.append(UnitInterval(left, label=f"clique:{i}"))
+        clique.append(UnitInterval(left))
 
     base = Scalar(index, t + 1)
     one = Scalar(1)
-    wing_left = UnitInterval(base - Scalar(1, t_cu) - one, label="wing:L")
-    wing_right = UnitInterval(base + Scalar(1, t_sq) + Scalar(1, t_cu) + one, label="wing:R")
+    wing_left = UnitInterval(base - Scalar(1, t_cu) - one)
+    wing_right = UnitInterval(base + Scalar(1, t_sq) + Scalar(1, t_cu) + one)
 
     return GadgetInstance(
         t=t,
@@ -350,6 +346,8 @@ def resolve_algorithm(name: str) -> Algorithm:
         delta = int(name.split(":", 1)[1])
         if delta < 2:  # refused here, before a sample block or a pool starts
             raise ValueError("delta must be at least 2")
+        # every sample feeds a window, whose root grid is allocated first
+        check_grid_budget(wrapper_domain(delta))
         return lambda stream: run_windowed(delta, stream)
     raise ValueError(f"unknown algorithm {name!r}")
 
@@ -487,6 +485,8 @@ def simulate_protocol(
     "windowed:DELTA") or any callable from a stream to an independent set;
     parallel execution needs the picklable name form.
     """
+    if isinstance(algorithm, str):
+        resolve_algorithm(algorithm)  # a bad name fails before any block runs
     if samples < 1:
         raise ValueError("need at least one sample")
 

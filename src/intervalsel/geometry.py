@@ -153,34 +153,33 @@ class Scalar:
 
 
 class UnitInterval:
-    """Closed interval [left, left + 1] with an optional provenance label.
+    """Closed interval [left, left + 1].
 
     The right endpoint is implicit: unit length is a construction invariant,
     not a stored field that could drift.
     """
 
-    __slots__ = ("left", "label")
+    __slots__ = ("left",)
 
-    def __init__(self, left: Scalar, label: str | None = None):
+    def __init__(self, left: Scalar):
         object.__setattr__(self, "left", left)
-        object.__setattr__(self, "label", label)
 
     def __setattr__(self, name, value):
         raise AttributeError("UnitInterval is immutable")
 
     def __reduce__(self):
-        return (UnitInterval, (self.left, self.label))
+        return (UnitInterval, (self.left,))
 
     def __eq__(self, other) -> bool:
         if type(other) is UnitInterval:
-            return self.left == other.left and self.label == other.label
+            return self.left == other.left
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.left, self.label))
+        return hash(self.left)
 
     def __repr__(self) -> str:
-        return f"UnitInterval(left={self.left!r}, label={self.label!r})"
+        return f"UnitInterval(left={self.left!r})"
 
     @property
     def right(self) -> Scalar:
@@ -190,7 +189,7 @@ class UnitInterval:
     def translate(self, k: int) -> "UnitInterval":
         """The interval shifted by the integer k, such as a window origin."""
         left = self.left
-        return UnitInterval(Scalar(left.num + k * left.den, left.den), self.label)
+        return UnitInterval(Scalar(left.num + k * left.den, left.den))
 
     def __str__(self) -> str:
         return f"[{self.left}, {self.right}]"
@@ -245,10 +244,6 @@ def intersects(i: UnitInterval, j: UnitInterval) -> bool:
     return abs(diff) <= il.den * jl.den
 
 
-def independent(i: UnitInterval, j: UnitInterval) -> bool:
-    return not intersects(i, j)
-
-
 def contained_in(i: UnitInterval, d: Domain) -> bool:
     """True iff [left, left+1] lies inside [a, b): a <= left and left + 1 < b.
 
@@ -286,9 +281,6 @@ class IndependentSet:
     def __iter__(self):
         return iter(self.intervals)
 
-    def __getitem__(self, idx):
-        return self.intervals[idx]
-
     def __eq__(self, other) -> bool:
         if isinstance(other, IndependentSet):
             return [iv.left for iv in self] == [iv.left for iv in other]
@@ -311,7 +303,7 @@ def max_independent_set(intervals: Sequence[UnitInterval]) -> IndependentSet:
     order = sorted(enumerate(intervals), key=lambda pair: (pair[1].left, pair[0]))
     chosen: list[UnitInterval] = []
     for _, iv in order:
-        if not chosen or independent(chosen[-1], iv):
+        if not chosen or not intersects(chosen[-1], iv):
             chosen.append(iv)
     return IndependentSet(chosen)
 

@@ -26,7 +26,7 @@ from .geometry import (
     parse_intervals,
 )
 from .recurrence import build_out_table
-from .restricted import run_restricted
+from .restricted import check_grid_budget, run_restricted, wrapper_domain
 from .rng import SplitMix64, derive, fisher_yates, map_trials
 from .windows import run_windowed
 
@@ -153,11 +153,6 @@ def gen_clique(size: int) -> list[UnitInterval]:
     return [UnitInterval(Scalar(i, size + 1)) for i in range(size)]
 
 
-def shuffle(intervals: Sequence[UnitInterval], seed: int) -> list[UnitInterval]:
-    """Uniform random order of the instance; the same seed replays the same order."""
-    return fisher_yates(intervals, SplitMix64(seed))
-
-
 def instance_from_spec(spec: InstanceSpec) -> list[UnitInterval]:
     if spec.kind == "independent":
         if spec.alpha is None:
@@ -238,6 +233,11 @@ def monte_carlo(
 
     # Built once: a bad spec fails before any trial, and all blocks share it.
     intervals = instance_from_spec(spec)
+    # A trial's first grid is the root grid on wrapper_domain(delta): a
+    # restricted run allocates it at once, a windowed one (delta >= 2) on its
+    # first interval.  Refuse it here, before any block or process pool starts.
+    if algorithm == "restricted" or (intervals and spec.delta >= 2):
+        check_grid_budget(wrapper_domain(spec.delta))
     a = alpha(intervals)
     block_args = (intervals, a, spec.delta, spec.seed, algorithm)
     sizes = map_trials(_trial_block, block_args, trials, threads)

@@ -9,7 +9,7 @@ for y < 0.  For x >= 3 the table is filled bottom-up with
     out_lb(x) = 1 + (1/x) * sum_{i=1..x} max( out_lb(i-1) + out_lb(x-i-1),
                                               out_lb(x-i) + out_lb(i-2) )
 
-The table stores exact rationals up to a configurable switch index
+The table stores exact rationals up to x = DEFAULT_EXACT_UNTIL = 64
 (denominators grow multiplicatively) and double precision beyond it; the
 two lanes are compared on their overlap and must agree to 1e-9 relative
 error.  These are lower bounds throughout: the derived approximation
@@ -36,6 +36,7 @@ form, so the 1e-9 cross-check compares two different formulations.
 The restricted-domain factor for a window width delta is
 min over alpha in {1..delta-1} of out_lb(alpha)/alpha, and the overall
 (unrestricted) factor multiplies that by the window loss (delta-1)/delta.
+``sweep`` reads both, and the binding alpha, off one pass over a table.
 
 Filling the table is inherently sequential; evaluating factors from a
 built table is read-only and thread-safe.
@@ -136,19 +137,18 @@ def _float_lane(x_max: int) -> np.ndarray:
     return v
 
 
-def build_out_table(x_max: int, exact_until: int = DEFAULT_EXACT_UNTIL) -> OutTable:
+def build_out_table(x_max: int) -> OutTable:
     """Fill out_lb(0..x_max) bottom-up and validate its shape.
 
-    Raises if the computed table ever decreases or exceeds the identity
-    line (both would invalidate the certification), or if the exact and
-    floating lanes disagree beyond 1e-9 relative error on their overlap.
+    The exact lane covers x <= DEFAULT_EXACT_UNTIL.  Raises if the computed
+    table ever decreases or exceeds the identity line (both would invalidate
+    the certification), or if the exact and floating lanes disagree beyond
+    1e-9 relative error on their overlap.
     """
     if x_max < 0:
         raise ValueError("x_max must be non-negative")
-    if exact_until < 2:
-        raise ValueError("exact_until must be at least 2 to cover the base cases")
 
-    exact_limit = min(x_max, exact_until)
+    exact_limit = min(x_max, DEFAULT_EXACT_UNTIL)
     exact = _exact_lane(exact_limit)
     approx = _float_lane(x_max)
 
@@ -184,21 +184,6 @@ def build_out_table(x_max: int, exact_until: int = DEFAULT_EXACT_UNTIL) -> OutTa
         max_rel_disagreement=worst,
         ratio_violations=violations,
     )
-
-
-def restricted_factor(delta: int, table: OutTable) -> Bound:
-    """min over alpha in {1..delta-1} of out_lb(alpha)/alpha."""
-    return sweep(delta, delta, table).rows[0].restricted
-
-
-def binding_alpha(delta: int, table: OutTable) -> int:
-    """Smallest alpha attaining the restricted-factor minimum."""
-    return sweep(delta, delta, table).rows[0].binding_alpha
-
-
-def overall_factor(delta: int, table: OutTable) -> Bound:
-    """(delta-1)/delta times the restricted factor: the window loss applied."""
-    return sweep(delta, delta, table).rows[0].overall
 
 
 class FactorRow(NamedTuple):

@@ -112,6 +112,22 @@ class RunReport(NamedTuple):
         }
 
 
+def _charge(cells: list[int], w: int) -> None:
+    """Count a w-by-w grid against the run's budget, before it is allocated."""
+    total = cells[0] + w * w
+    if total > MAX_GRID_CELLS:
+        raise GridBudgetError(
+            f"grid-cell budget exceeded: this run needs at least {total} cells "
+            f"of state grids, more than MAX_GRID_CELLS = {MAX_GRID_CELLS}"
+        )
+    cells[0] = total
+
+
+def check_grid_budget(domain: Domain) -> None:
+    """Refuse a run whose root grid on ``domain`` is over budget, allocating nothing."""
+    _charge([0], domain.length + 1)
+
+
 class _Generator:
     """The states that share one generator, keyed by their domain.
 
@@ -126,13 +142,7 @@ class _Generator:
 
     def __init__(self, a: int, b: int, cells: list[int]):
         w = b - a + 1
-        total = cells[0] + w * w
-        if total > MAX_GRID_CELLS:
-            raise GridBudgetError(
-                f"grid-cell budget exceeded: this run needs at least {total} cells "
-                f"of state grids, more than MAX_GRID_CELLS = {MAX_GRID_CELLS}"
-            )
-        cells[0] = total
+        _charge(cells, w)
         self.a = a
         self.b = b
         self.cells = cells

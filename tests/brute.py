@@ -15,9 +15,9 @@ from intervalsel.geometry import Scalar, UnitInterval, intersects
 from intervalsel.recurrence import Bound, OutTable
 
 
-def u(left, label=None) -> UnitInterval:
+def u(left) -> UnitInterval:
     """Unit interval from an int, Fraction, decimal string or Scalar left end."""
-    return UnitInterval(Scalar.parse(str(left)), label)
+    return UnitInterval(Scalar.parse(str(left)))
 
 
 def brute_force_alpha(intervals) -> int:

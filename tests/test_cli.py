@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -29,6 +30,11 @@ GOLDEN_DP_STDOUT = {
     ("dp", "--delta", "22000"): (
         "7083c672df8265f5e3dad93c1e66d079d743d2b84fd83ae0c334fda3f8388480"
     ),
+    # JSON rows on both sides of the exact lane's last x = 64; recorded with
+    # the rest of GOLDEN_PATH_STDOUT
+    ("dp", "--sweep", "2..70", "--format", "json"): (
+        "6851200b85bd08b0e19e10cb09c9360aeaa69a5aad18618bc795c74258e74f4b"
+    ),
 }
 
 # stdout SHA-256 of the restricted, windowed and unrestricted paths, recorded
@@ -53,7 +59,37 @@ GOLDEN_TRIAL_STDOUT = {
         "1fa4bebdb37735fea6beca254b77e0746f700b2fdfcd5892244409cbb3147769",
     ),
 }
-# the input of "run-unrestricted": 60 lefts on the quarter grid in [0, 10)
+# stdout SHA-256 of the gadget, restricted-run and CSV paths that the tables
+# above leave out, recorded before UnitInterval lost its label field.
+GOLDEN_PATH_STDOUT = {
+    "gadget-verify": (
+        ["gadget", "--t", "12", "--verify", "--seed", "5"],
+        "6805ccb63173bec74bbbe922599d63fa3e8cafd62254d7fd41197968a1ccd8e6",
+    ),
+    "gadget-verify-exhaustive": (
+        ["gadget", "--t", "12", "--verify", "--exhaustive", "--seed", "5"],
+        "75a4f7623105fc919adfcc3dcc22bc4856774d6380b46ebe23e31ca12a2f1711",
+    ),
+    "gadget-oracle": (
+        [
+            "gadget", "--t", "10", "--simulate", "--algorithm", "oracle",
+            "--samples", "200", "--seed", "5", "--threads", "1",
+        ],
+        "9a40789f8be06362ef33ca279efcc1d194faf133559df2f51078ee9bde9fd891",
+    ),
+    "run-domain": (
+        ["run", "--domain", "-1,11"],
+        "6c0818ca03261bbd3f1d03bb0f944640d9a13448fcb12b83191bb1c62d5b472f",
+    ),
+    "montecarlo-csv": (
+        [
+            "montecarlo", "--kind", "independent", "--alpha", "5", "--delta", "7",
+            "--trials", "20", "--seed", "3", "--threads", "1", "--format", "csv",
+        ],
+        "c91de43e9043cf4d8364cde18b674aa85b7c2af4587055dec17de38e33f5cdcb",
+    ),
+}
+# the input of the "run-*" entries: 60 lefts on the quarter grid in [0, 10)
 GOLDEN_STREAM = "\n".join(f"{(7 * j) % 40}/4" for j in range(60)) + "\n"
 
 
@@ -478,9 +514,9 @@ class TestSubstreamTrials:
 
 
 class TestTrialGoldenStdout:
-    @pytest.mark.parametrize("name", list(GOLDEN_TRIAL_STDOUT))
+    @pytest.mark.parametrize("name", [*GOLDEN_TRIAL_STDOUT, *GOLDEN_PATH_STDOUT])
     def test_golden_stdout(self, name, tmp_path, capsys):
-        args, digest = GOLDEN_TRIAL_STDOUT[name]
+        args, digest = {**GOLDEN_TRIAL_STDOUT, **GOLDEN_PATH_STDOUT}[name]
         if args[0] == "run":
             path = tmp_path / "stream.txt"
             path.write_text(GOLDEN_STREAM)
@@ -623,6 +659,35 @@ class TestGridBudget:
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith("error: grid-cell budget exceeded:")
         assert "MAX_GRID_CELLS = 100" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["montecarlo", "--alpha", "2", "--delta", "100000", "--trials", "8"],
+            [
+                "montecarlo", "--alpha", "2", "--delta", "100000", "--trials", "8",
+                "--algorithm", "windowed",
+            ],
+            [
+                "gadget", "--t", "4", "--simulate", "--algorithm", "windowed:100000",
+                "--samples", "8",
+            ],
+        ],
+    )
+    def test_parallel_run_is_refused_before_the_pool_starts(
+        self, command, monkeypatch, capsys
+    ):
+        _, _, serial_err = run_cli([*command, "--seed", SEED, "--threads", "1"], capsys)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool started before the budget check")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        code, out, err = run_cli([*command, "--seed", SEED, "--threads", "2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == serial_err.splitlines()[-1]
+        assert err.splitlines()[-1].startswith("error: grid-cell budget exceeded:")
 
     def test_large_delta_is_refused_before_allocating(self, tmp_path):
         # One window's root grid at delta 100000 holds about 1e10 cells; the

@@ -65,14 +65,8 @@ class TestBuild:
         g = build(4, 3, [0] * 4, [0] * 4, sigma)
         assert g.stream[0] is g.wing_right
         assert g.stream[1] is g.wing_left
-        assert [iv.label for iv in g.stream[2:]] == [
-            "clique:3",
-            "clique:2",
-            "clique:1",
-            "clique:0",
-        ]
+        assert all(iv is g.clique[3 - k] for k, iv in enumerate(g.stream[2:]))
         assert g.first_wing_position == 0
-        assert g.alice_stream == ()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -153,7 +147,7 @@ class TestVerify:
                 max(others) - Scalar(1) - Scalar(1, 1 << 20),
             ):
                 clique = list(g.clique)
-                clique[k] = UnitInterval(left, clique[k].label)
+                clique[k] = UnitInterval(left)
                 broken = g._replace(clique=tuple(clique))
                 with pytest.raises(GadgetInvariantError, match="fail to intersect"):
                     verify(broken)
@@ -217,9 +211,9 @@ class TestProtocol:
 
     def test_wings_only_algorithm_is_legal(self):
         def wings_only(stream):
-            return IndependentSet(
-                [iv for iv in stream if iv.label in ("wing:L", "wing:R")]
-            )
+            # J_L lies left of every clique interval and J_R right of them
+            by_left = sorted(stream, key=lambda iv: iv.left)
+            return IndependentSet([by_left[0], by_left[-1]])
 
         # A local function cannot be pickled, so threads=2 must run serially.
         stats = simulate_protocol(5, 50, wings_only, seed=SEED)

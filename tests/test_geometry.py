@@ -102,7 +102,7 @@ class TestScalar:
         k=st.integers(-(1 << 64), 1 << 64),
     )
     def test_integer_shift_matches_fractions(self, num, den, k):
-        iv = UnitInterval(Scalar(num, den), "x")
+        iv = UnitInterval(Scalar(num, den))
         x = Fraction(num, den)
         for shift, want in ((lambda: iv.translate(k).left, x + k), (lambda: iv.right, x + 1)):
             if I64_MIN <= want.numerator <= I64_MAX:

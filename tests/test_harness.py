@@ -14,9 +14,9 @@ from intervalsel.harness import (
     gen_independent,
     instance_from_spec,
     monte_carlo,
-    shuffle,
     substream_monotonicity_test,
 )
+from intervalsel.restricted import GridBudgetError
 from intervalsel.rng import SplitMix64, derive, fisher_yates, mix64
 
 from brute import random_intervals, u
@@ -62,12 +62,13 @@ class TestRng:
 
 class TestShuffle:
     def test_empty(self):
-        assert shuffle([], SEED) == []
+        assert fisher_yates([], SplitMix64(SEED)) == []
 
     def test_fixed_seed_replays(self):
         items = [u(i * 2) for i in range(6)]
-        assert shuffle(items, 42) == shuffle(items, 42)
-        assert shuffle(items, 42) != shuffle(items, 43)
+        order = fisher_yates(items, SplitMix64(42))
+        assert order == fisher_yates(items, SplitMix64(42))
+        assert order != fisher_yates(items, SplitMix64(43))
 
     def test_uniform_over_six_orders(self):
         items = ["a", "b", "c"]
@@ -244,6 +245,19 @@ class TestMonteCarlo:
         spec = InstanceSpec(kind="independent", delta=4, seed=SEED, alpha=2)
         with pytest.raises(ValueError):
             monte_carlo(spec, 0)
+
+    def test_budget_is_checked_before_the_pool_starts(self, monkeypatch):
+        # one delta-100000 root grid holds about 1e10 cells, past the budget
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool started before the budget check")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        spec = InstanceSpec(kind="independent", delta=100_000, seed=SEED, alpha=2)
+        for algorithm in ("restricted", "windowed"):
+            with pytest.raises(GridBudgetError):
+                monte_carlo(spec, 8, algorithm=algorithm, threads=2)
+        with pytest.raises(GridBudgetError):
+            gadget_mod.simulate_protocol(4, 8, "windowed:100000", SEED, threads=2)
 
 
 class TestSubstreamMonotonicity:

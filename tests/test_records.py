@@ -52,7 +52,7 @@ def fields(record):
 @pytest.fixture(scope="module")
 def records():
     """One instance of each record type, built through the public API."""
-    half = UnitInterval(Scalar(1, 2), "half")
+    half = UnitInterval(Scalar(1, 2))
     spec = InstanceSpec(kind="independent", delta=4, seed=SEED, alpha=2)
     windows = WindowMap(3)
     windows.feed(half)

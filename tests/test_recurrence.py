@@ -8,14 +8,7 @@ import pytest
 from intervalsel import recurrence
 from intervalsel.cli import _fmt
 from intervalsel.geometry import alpha
-from intervalsel.recurrence import (
-    DELTA5_NOTE,
-    build_out_table,
-    binding_alpha,
-    overall_factor,
-    restricted_factor,
-    sweep,
-)
+from intervalsel.recurrence import DEFAULT_EXACT_UNTIL, DELTA5_NOTE, build_out_table, sweep
 from intervalsel.restricted import run_restricted
 
 from brute import decimal_lane, direct_out, reference_float_lane, reference_min_ratio, u
@@ -44,8 +37,8 @@ class TestOutTable:
             assert t.bound(x) == direct_out(x)
 
     def test_exact_and_float_lanes_agree(self):
-        t = build_out_table(200, exact_until=64)
-        assert t.exact_limit == 64
+        t = build_out_table(200)
+        assert t.exact_limit == DEFAULT_EXACT_UNTIL == 64
         assert t.max_rel_disagreement <= 1e-9
         for x in (10, 40, 64):
             assert abs(float(t.exact[x]) - float(t.approx[x])) <= 1e-9 * x
@@ -101,43 +94,49 @@ class TestFloatLane:
         assert printed(sweep(2, 3000)) == ours
 
 
+def factor_row(delta, table):
+    """The sweep row of one window width, as `dp --delta` prints it."""
+    (row,) = sweep(delta, delta, table).rows
+    return row
+
+
 class TestFactors:
     def test_restricted_examples(self):
         t = build_out_table(8)
-        assert restricted_factor(2, t) == 1
-        assert restricted_factor(4, t) == Fraction(8, 9)
-        assert restricted_factor(5, t) == Fraction(5, 6)
-        assert binding_alpha(4, t) == 3
+        assert factor_row(2, t).restricted == 1
+        assert factor_row(4, t).restricted == Fraction(8, 9)
+        assert factor_row(5, t).restricted == Fraction(5, 6)
+        assert factor_row(4, t).binding_alpha == 3
 
     def test_overall_examples(self):
         t = build_out_table(8)
-        assert overall_factor(2, t) == Fraction(1, 2)
-        assert overall_factor(5, t) == Fraction(2, 3)
-        assert overall_factor(6, t) == Fraction(31, 45)
+        assert factor_row(2, t).overall == Fraction(1, 2)
+        assert factor_row(5, t).overall == Fraction(2, 3)
+        assert factor_row(6, t).overall == Fraction(31, 45)
 
     def test_bad_delta(self):
         t = build_out_table(8)
         with pytest.raises(ValueError):
-            restricted_factor(1, t)
+            factor_row(1, t)
         with pytest.raises(ValueError):
-            restricted_factor(100, t)
+            factor_row(100, t)
 
     def test_float_lane_used_beyond_exact_limit(self):
-        t = build_out_table(300, exact_until=32)
-        value = restricted_factor(300, t)
+        # delta 300 reads out_lb(299), past the exact lane's last x = 64
+        value = factor_row(300, build_out_table(299)).restricted
         assert isinstance(value, float)
-        exact = build_out_table(300, exact_until=300)
-        assert abs(value - float(restricted_factor(300, exact))) < 1e-9
+        exact = recurrence._exact_lane(299)
+        best = min(exact[a] / a for a in range(1, 300))
+        assert abs(value - float(best)) < 1e-9
 
 
 class TestSweepMatchesReference:
-    # sweep's running minimum is the only min-ratio pass in the library; the
-    # per-delta factor functions read its rows.  The reference takes the
-    # minimum directly for each delta, in whichever lane covers delta - 1.
+    # sweep's running minimum is the only min-ratio pass in the library.  The
+    # reference takes the minimum directly for each delta, in whichever lane
+    # covers delta - 1; the range crosses the switch at x = 64.
 
-    @pytest.mark.parametrize("exact_until", [8, 32, 64])
-    def test_every_row_matches_direct_minimum(self, exact_until):
-        table = build_out_table(2999, exact_until=exact_until)
+    def test_every_row_matches_direct_minimum(self):
+        table = build_out_table(2999)
         for row in sweep(2, 3000, table).rows:
             delta = row.delta
             best, best_alpha = reference_min_ratio(delta, table)
@@ -150,16 +149,6 @@ class TestSweepMatchesReference:
                 overall = (delta - 1) / delta * best
             assert row.overall == overall, delta
             assert type(row.overall) is type(overall), delta
-
-    def test_factor_functions_read_the_sweep_rows(self):
-        table = build_out_table(2999)
-        rows = {row.delta: row for row in sweep(2, 3000, table).rows}
-        for delta in (2, 5, 6, 65, 66, 300, 3000):
-            row = rows[delta]
-            assert restricted_factor(delta, table) == row.restricted
-            assert type(restricted_factor(delta, table)) is type(row.restricted)
-            assert binding_alpha(delta, table) == row.binding_alpha
-            assert overall_factor(delta, table) == row.overall
 
 
 class TestSweep:

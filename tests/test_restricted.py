@@ -6,7 +6,7 @@ import pytest
 
 from intervalsel import restricted
 from intervalsel.geometry import Domain, alpha
-from intervalsel.harness import gen_independent, shuffle
+from intervalsel.harness import gen_independent
 from intervalsel.restricted import (
     DomainError,
     GridBudgetError,
@@ -52,7 +52,7 @@ class TestInstanceBasics:
         # States hold no reference to their generator, so reference counting
         # alone frees a whole instance, also while an error unwinds.
         inst = InstanceState(wrapper_domain(9))
-        for iv in shuffle(gen_independent(8, 9, seed=1), 2):
+        for iv in fisher_yates(gen_independent(8, 9, seed=1), SplitMix64(2)):
             inst.feed(iv)
         assert len(inst.output().output) >= 1
         gc.collect()
