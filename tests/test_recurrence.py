@@ -8,7 +8,12 @@ import pytest
 from intervalsel import recurrence
 from intervalsel.cli import _fmt
 from intervalsel.geometry import alpha
-from intervalsel.recurrence import DEFAULT_EXACT_UNTIL, DELTA5_NOTE, build_out_table, sweep
+from intervalsel.recurrence import (
+    DEFAULT_EXACT_UNTIL,
+    DELTA5_NOTE,
+    build_out_table,
+    sweep,
+)
 from intervalsel.restricted import run_restricted
 
 from brute import decimal_lane, direct_out, reference_float_lane, reference_min_ratio, u
