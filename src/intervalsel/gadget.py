@@ -40,7 +40,6 @@ from .geometry import (
     intersects,
     max_independent_set,
 )
-from .restricted import check_grid_budget, wrapper_domain
 from .rng import SplitMix64, derive, fisher_yates, map_trials
 from .windows import run_windowed
 
@@ -346,8 +345,6 @@ def resolve_algorithm(name: str) -> Algorithm:
         delta = int(name.split(":", 1)[1])
         if delta < 2:  # refused here, before a sample block or a pool starts
             raise ValueError("delta must be at least 2")
-        # every sample feeds a window, whose root grid is allocated first
-        check_grid_budget(wrapper_domain(delta))
         return lambda stream: run_windowed(delta, stream)
     raise ValueError(f"unknown algorithm {name!r}")
 

@@ -26,7 +26,7 @@ from .geometry import (
     parse_intervals,
 )
 from .recurrence import build_out_table
-from .restricted import check_grid_budget, run_restricted, wrapper_domain
+from .restricted import run_restricted
 from .rng import SplitMix64, derive, fisher_yates, map_trials
 from .windows import run_windowed
 
@@ -233,11 +233,6 @@ def monte_carlo(
 
     # Built once: a bad spec fails before any trial, and all blocks share it.
     intervals = instance_from_spec(spec)
-    # A trial's first grid is the root grid on wrapper_domain(delta): a
-    # restricted run allocates it at once, a windowed one (delta >= 2) on its
-    # first interval.  Refuse it here, before any block or process pool starts.
-    if algorithm == "restricted" or (intervals and spec.delta >= 2):
-        check_grid_budget(wrapper_domain(spec.delta))
     a = alpha(intervals)
     block_args = (intervals, a, spec.delta, spec.seed, algorithm)
     sizes = map_trials(_trial_block, block_args, trials, threads)

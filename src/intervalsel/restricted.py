@@ -45,7 +45,10 @@ updated slot.
 
 The end-of-stream pass visits each distinct state once and keeps, per
 state, only sizes: the best candidate size, its split point and side, and
-the two counters below.  The winning set is then rebuilt once, by following
+the two counters below.  It fills each generator's grid shortest domain
+first, and a state's conditional generators with the state, so it recurses
+only into nested generators: the budget below, not the domain length,
+bounds its depth.  The winning set is then rebuilt once, by following
 (split point, side) from the root, which takes one slot interval per
 visited state of the result.
 
@@ -123,11 +126,6 @@ def _charge(cells: list[int], w: int) -> None:
     cells[0] = total
 
 
-def check_grid_budget(domain: Domain) -> None:
-    """Refuse a run whose root grid on ``domain`` is over budget, allocating nothing."""
-    _charge([0], domain.length + 1)
-
-
 class _Generator:
     """The states that share one generator, keyed by their domain.
 
@@ -150,10 +148,6 @@ class _Generator:
 
     def get(self, a: int, b: int) -> _State | None:
         return self.grid[(a - self.a) * (self.b - self.a + 1) + b - self.a]
-
-    @property
-    def root(self) -> _State | None:
-        return self.grid[self.b - self.a]
 
 
 class _State:
@@ -216,62 +210,68 @@ def _feed(gen: _Generator, iv: UnitInterval, num: int, den: int, fl: int) -> Non
                 _feed(s.cl, iv, num, den, fl)
 
 
-def _summary(g: _Generator, a: int, b: int, s: _State, memo: dict) -> tuple:
-    """Logical subtree of every tree node of state ``s`` on [a, b) in ``g``.
+def _fill(g: _Generator, memo: dict) -> None:
+    """Summarise every state of ``g``, and of the generators below it, into ``memo``.
 
-    Returns (best candidate size, its split point, its side, tree nodes,
-    occupied slots) and stores it in ``memo`` under ``s``.  All tree nodes
-    of one state have the same subtree, so the counts are sums over child
-    edges of the children's memoised counts.  Absent children and memo hits
-    are resolved here, so there is one call per distinct state.  A
-    conditional generator is created on its first feed, which creates its
-    root, so an existing ``cl`` or ``cr`` has a root.
+    ``memo[s]`` is (best candidate size, its split point, its side, tree
+    nodes, occupied slots) of every tree node of state ``s``; the counts are
+    sums over child edges of the children's counts.  The children [a, i)
+    and [i, b) of [a, b) lie left of it in its row and below it in its
+    column, so rows run bottom up and columns left to right.  A state's
+    conditional generators, read only by its parents, are filled with it;
+    the feed that created one created its root.
     """
     off = g.a
     w = g.b - off + 1
     grid = g.grid
-    row = (a - off) * w - off  # grid[row + i] is the state on [a, i)
-    col = b - off  # grid[(i - off) * w + col] is the state on [i, b)
-    best, point, side = 0, a + 1, RIGHT_CANDIDATE
-    nodes, stored = 1, 0
-    for i in range(a + 1, b):
-        # sizes of OUT(T_L(i)) + R_i + OUT(A_R(i)) and OUT(A_L(i)) + L_i + OUT(T_R(i))
-        r_size = l_size = 0
-        tl = grid[row + i]
-        # each pass-through child's first feed filled the slot L_i or R_i
-        if tl is not None:
-            h = memo.get(tl) or _summary(g, a, i, tl, memo)
-            r_size = h[0]
-            nodes += h[3]
-            stored += 1 + h[4]
-            l_size = 1
-            c = tl.cl
-            if c is not None:
-                root = c.grid[i - a]
-                h = memo.get(root) or _summary(c, a, i, root, memo)
-                l_size += h[0]
-                nodes += h[3]
-                stored += h[4]
-        tr = grid[(i - off) * w + col]
-        if tr is not None:
-            h = memo.get(tr) or _summary(g, i, b, tr, memo)
-            l_size += h[0]
-            nodes += h[3]
-            stored += 1 + h[4]
-            r_size += 1
-            c = tr.cr
-            if c is not None:
-                root = c.grid[b - i]
-                h = memo.get(root) or _summary(c, i, b, root, memo)
-                r_size += h[0]
-                nodes += h[3]
-                stored += h[4]
-        if r_size > best:
-            best, point, side = r_size, i, RIGHT_CANDIDATE
-        if l_size > best:
-            best, point, side = l_size, i, LEFT_CANDIDATE
-    hit = memo[s] = (best, point, side, nodes, stored)
-    return hit
+    for a in range(g.b - 2, off - 1, -1):
+        row = (a - off) * w - off  # grid[row + i] is the state on [a, i)
+        for b in range(a + 2, g.b + 1):
+            s = grid[row + b]
+            if s is None:
+                continue
+            if s.cr is not None:
+                _fill(s.cr, memo)
+            if s.cl is not None:
+                _fill(s.cl, memo)
+            col = b - off  # grid[(i - off) * w + col] is the state on [i, b)
+            best, point, side = 0, a + 1, RIGHT_CANDIDATE
+            nodes, stored = 1, 0
+            for i in range(a + 1, b):
+                # sizes of OUT(T_L(i)) + R_i + OUT(A_R(i)) and OUT(A_L(i)) + L_i + OUT(T_R(i))
+                r_size = l_size = 0
+                tl = grid[row + i]
+                # each pass-through child's first feed filled the slot L_i or R_i
+                if tl is not None:
+                    h = memo[tl]
+                    r_size = h[0]
+                    nodes += h[3]
+                    stored += 1 + h[4]
+                    l_size = 1
+                    c = tl.cl
+                    if c is not None:
+                        h = memo[c.grid[i - a]]
+                        l_size += h[0]
+                        nodes += h[3]
+                        stored += h[4]
+                tr = grid[(i - off) * w + col]
+                if tr is not None:
+                    h = memo[tr]
+                    l_size += h[0]
+                    nodes += h[3]
+                    stored += 1 + h[4]
+                    r_size += 1
+                    c = tr.cr
+                    if c is not None:
+                        h = memo[c.grid[b - i]]
+                        r_size += h[0]
+                        nodes += h[3]
+                        stored += h[4]
+                if r_size > best:
+                    best, point, side = r_size, i, RIGHT_CANDIDATE
+                if l_size > best:
+                    best, point, side = l_size, i, LEFT_CANDIDATE
+            memo[s] = (best, point, side, nodes, stored)
 
 
 def _picks(g: _Generator, a: int, b: int, s: _State, memo: dict) -> list[UnitInterval]:
@@ -295,14 +295,14 @@ def _picks(g: _Generator, a: int, b: int, s: _State, memo: dict) -> list[UnitInt
             if tr is not None:
                 picks.append(tr.lo)
                 if tr.cr is not None:
-                    todo.append((tr.cr, i, b, tr.cr.root))
+                    todo.append((tr.cr, i, b, tr.cr.grid[b - i]))
         else:
             if tr is not None:
                 todo.append((g, i, b, tr))
             if tl is not None:
                 picks.append(tl.hi)
                 if tl.cl is not None:
-                    todo.append((tl.cl, a, i, tl.cl.root))
+                    todo.append((tl.cl, a, i, tl.cl.grid[i - a]))
     return picks
 
 
@@ -334,13 +334,14 @@ class InstanceState:
     def output(self) -> RunReport:
         """Largest candidate over all split points, validated as independent."""
         gen, a, b = self._gen, self.domain.a, self.domain.b
-        root = gen.root
+        root = gen.grid[b - a]
         if root is None:
             point = a + 1 if b - a >= 2 else None
             side = RIGHT_CANDIDATE if point is not None else None
             return RunReport(IndependentSet(), point, side, 1, 0)
         memo: dict = {}
-        _, point, side, nodes, stored = _summary(gen, a, b, root, memo)
+        _fill(gen, memo)
+        _, point, side, nodes, stored = memo[root]
         return RunReport(
             output=IndependentSet(_picks(gen, a, b, root, memo)),
             winning_split_point=point,

@@ -65,23 +65,26 @@ def map_trials(block, args: tuple, n: int, threads: int) -> Counter:
     ``block(*args, start, stop)`` must return a Counter of the outcomes of
     trials start..stop-1, each drawn only from its own ``derive`` substream,
     so that every split of the range gives the same total.  Runs in this
-    process when ``threads <= 1`` or ``n < 4``; otherwise splits the range
-    into about ``4 * threads`` blocks and maps them over a process pool of
+    process when ``threads <= 1`` or ``n < 4``.  Otherwise trial 0 runs here
+    first, so an error every trial shares (a grid over budget) is raised
+    before a pool starts; trials 1..n-1 are split into about
+    ``4 * threads`` blocks and mapped over a process pool of
     min(threads, blocks, CPU count) workers, which needs ``block`` and
     ``args`` to be picklable.  The pool module, and ``multiprocessing`` with
     it, is imported only here, so a serial run never loads it.
     """
     if threads <= 1 or n < 4:
         return block(*args, 0, n)
+    first = block(*args, 0, 1)
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = -(-n // (threads * 4))
-    starts = range(0, n, chunk)
+    chunk = -(-(n - 1) // (threads * 4))
+    starts = range(1, n, chunk)
     stops = [min(s + chunk, n) for s in starts]
     columns = [[arg] * len(starts) for arg in args]
     workers = min(threads, len(starts), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(block, *columns, starts, stops), Counter())
+        return sum(pool.map(block, *columns, starts, stops), first)
 
 
 def fisher_yates(items, rng: SplitMix64) -> list:

@@ -598,6 +598,16 @@ class TestExitCodes:
             assert out.getvalue() == ""
             assert err.getvalue().splitlines()[-1].startswith("error: ")
 
+    def test_long_domain_runs(self, tmp_path, capsys):
+        # 1,002,001 cells, well inside the budget; the output pass once
+        # recursed per unit of domain length and ended in a RecursionError.
+        path = tmp_path / "one.txt"
+        path.write_text("997.5\n")
+        code, out, err = run_cli(["run", "--domain", "0,1000", "--input", str(path)], capsys)
+        assert code == 0, err
+        assert json.loads(out)["output_size"] == 1
+        assert "Traceback" not in err
+
     def test_out_of_memory_is_a_data_error(self, tmp_path):
         # 64 lefts on the eighth grid over a length-16 domain need far more
         # distinct states than the 200 MB address-space cap allows; the

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from intervalsel import gadget as gadget_mod, harness
+from intervalsel import gadget as gadget_mod, harness, restricted
 from intervalsel.geometry import ScalarOverflowError, alpha, max_independent_set
 from intervalsel.harness import (
     MAX_GADGET_T,
@@ -204,9 +204,10 @@ class TestMonteCarlo:
         assert summary.min_size >= 1
 
     def test_parallel_matches_serial(self):
-        # 3 trials take the serial fallback; 201 split into uneven blocks.
+        # 3 trials take the serial fallback; 4 and 5 are the smallest pool
+        # runs, with trial 0 in this process; 201 split into uneven blocks.
         spec = InstanceSpec(kind="independent", delta=4, seed=SEED, alpha=3)
-        for trials in (3, 201):
+        for trials in (3, 4, 5, 201):
             serial = monte_carlo(spec, trials, threads=1)
             parallel = monte_carlo(spec, trials, threads=4)
             assert serial == parallel
@@ -258,6 +259,19 @@ class TestMonteCarlo:
                 monte_carlo(spec, 8, algorithm=algorithm, threads=2)
         with pytest.raises(GridBudgetError):
             gadget_mod.simulate_protocol(4, 8, "windowed:100000", SEED, threads=2)
+
+    def test_later_grid_is_refused_before_the_pool_starts(self, monkeypatch):
+        # A delta-9 root grid holds 144 cells and fits; trial 0's later grids
+        # (a conditional child, a second window) go over, in this process.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool started before trial 0 ran")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(restricted, "MAX_GRID_CELLS", 150)
+        spec = InstanceSpec(kind="independent", delta=9, seed=1, alpha=3)
+        for algorithm in ("restricted", "windowed"):
+            with pytest.raises(GridBudgetError):
+                monte_carlo(spec, 8, algorithm=algorithm, threads=2)
 
 
 class TestSubstreamMonotonicity:

@@ -1,4 +1,5 @@
 import gc
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -28,6 +29,17 @@ class TestInstanceBasics:
     def test_degenerate_domain_rejected(self):
         with pytest.raises(ValueError):
             InstanceState(Domain(0, 0))
+
+    def test_domain_longer_than_the_recursion_limit(self):
+        # The output pass recurses only into nested generators, not once per
+        # unit of domain length.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            report = run_on_stream(Domain(0, 400), [u("795/2")])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [str(iv.left) for iv in report.output] == ["795/2"]
 
     def test_wrapper_domain(self):
         assert wrapper_domain(6) == Domain(-1, 7)
