@@ -599,8 +599,8 @@ class TestExitCodes:
             assert err.getvalue().splitlines()[-1].startswith("error: ")
 
     def test_long_domain_runs(self, tmp_path, capsys):
-        # 1,002,001 cells, well inside the budget; the output pass once
-        # recursed per unit of domain length and ended in a RecursionError.
+        # 1,002,001 cells, well inside the budget, which alone limits the
+        # domain length: the output pass must not recurse per unit of it.
         path = tmp_path / "one.txt"
         path.write_text("997.5\n")
         code, out, err = run_cli(["run", "--domain", "0,1000", "--input", str(path)], capsys)
