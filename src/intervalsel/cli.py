@@ -62,6 +62,11 @@ def _echo_config(config: dict) -> None:
     print("config:", json.dumps(_jsonable(config), sort_keys=True), file=sys.stderr)
 
 
+def _options(args, seed: int) -> dict:
+    """The options given or defaulted, and the resolved seed."""
+    return {**{k: v for k, v in vars(args).items() if v is not None}, "seed": seed}
+
+
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
@@ -266,22 +271,7 @@ def _cmd_montecarlo(args) -> int:
         path=args.input,
         aligned=args.aligned,
     )
-    config = {
-        "subcommand": "montecarlo",
-        "kind": args.kind,
-        "delta": args.delta,
-        "trials": args.trials,
-        "seed": seed,
-        "algorithm": args.algorithm,
-        "threads": args.threads,
-        "format": args.format,
-        "aligned": args.aligned,
-    }
-    for key in ("alpha", "size", "t", "input"):
-        value = getattr(args, key)
-        if value is not None:
-            config[key] = value
-    _echo_config(config)
+    _echo_config(_options(args, seed))
     summary = harness.monte_carlo(
         spec, args.trials, algorithm=args.algorithm, threads=args.threads
     )
@@ -391,7 +381,7 @@ def _add_substream(sub) -> None:
 
 def _cmd_substream(args) -> int:
     seed = _resolve_seed(args.seed)
-    _echo_config({"subcommand": "substream-test", "trials": args.trials, "seed": seed})
+    _echo_config(_options(args, seed))
     report = harness.substream_monotonicity_test(args.trials, seed)
     _emit_json(report.to_dict())
     return 0 if report.violation_count == 0 else 1

@@ -218,18 +218,7 @@ class VerificationReport(NamedTuple):
     triple_checked_exhaustively: bool
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "n": self.t + 2,
-            "index": self.index,
-            "alpha": self.alpha,
-            "clique_pairwise_intersecting": self.clique_pairwise_intersecting,
-            "wing_incidence_ok": self.wing_incidence_ok,
-            "target_independent_of_wings": self.target_independent_of_wings,
-            "unique_triple": self.unique_triple,
-            "wing_gap_inequality": self.wing_gap_inequality,
-            "triple_checked_exhaustively": self.triple_checked_exhaustively,
-        }
+        return {**self._asdict(), "n": self.t + 2}
 
 
 def verify(g: GadgetInstance, exhaustive: bool = False) -> VerificationReport:

@@ -170,10 +170,10 @@ def instance_from_spec(spec: InstanceSpec) -> list[UnitInterval]:
                 f"t must be <= {MAX_GADGET_T}: larger gadget instances, shifted "
                 "right by 2, leave the 64-bit coordinate range"
             )
-        g = gadget_mod.random_gadget(spec.t, derive(spec.seed, 0))
         # Shift right so the construction fits [0, delta); width just above 4.
         if spec.delta < 5:
             raise ValueError("gadget instances need delta >= 5")
+        g = gadget_mod.random_gadget(spec.t, derive(spec.seed, 0))
         return [iv.translate(2) for iv in g.stream]
     if spec.kind == "custom-file":
         if spec.path is None:

@@ -92,6 +92,58 @@ GOLDEN_PATH_STDOUT = {
 # the input of the "run-*" entries: 60 lefts on the quarter grid in [0, 10)
 GOLDEN_STREAM = "\n".join(f"{(7 * j) % 40}/4" for j in range(60)) + "\n"
 
+# Each optional montecarlo key once, and substream-test: the stderr config
+# lines, recorded before the config became the parsed options themselves.
+MC = "montecarlo --delta 4 --trials 3 --seed 7 --threads 1"
+GOLDEN_CONFIG = {
+    "alpha": (
+        f"{MC} --alpha 2",
+        '{"algorithm": "restricted", "aligned": false, "alpha": 2, "delta": 4, '
+        '"format": "json", "kind": "independent", "seed": 7, '
+        '"subcommand": "montecarlo", "threads": 1, "trials": 3}',
+    ),
+    "size": (
+        f"{MC} --kind clique --size 3",
+        '{"algorithm": "restricted", "aligned": false, "delta": 4, '
+        '"format": "json", "kind": "clique", "seed": 7, "size": 3, '
+        '"subcommand": "montecarlo", "threads": 1, "trials": 3}',
+    ),
+    "t": (
+        "montecarlo --kind gadget --t 3 --delta 5 --trials 2 --seed 7 --threads 1",
+        '{"algorithm": "restricted", "aligned": false, "delta": 5, '
+        '"format": "json", "kind": "gadget", "seed": 7, '
+        '"subcommand": "montecarlo", "t": 3, "threads": 1, "trials": 2}',
+    ),
+    "input": (
+        f"{MC} --kind custom-file --input intervals.txt",
+        '{"algorithm": "restricted", "aligned": false, "delta": 4, '
+        '"format": "json", "input": "intervals.txt", "kind": "custom-file", '
+        '"seed": 7, "subcommand": "montecarlo", "threads": 1, "trials": 3}',
+    ),
+    "aligned": (
+        f"{MC} --alpha 2 --aligned",
+        '{"algorithm": "restricted", "aligned": true, "alpha": 2, "delta": 4, '
+        '"format": "json", "kind": "independent", "seed": 7, '
+        '"subcommand": "montecarlo", "threads": 1, "trials": 3}',
+    ),
+    "csv": (
+        f"{MC} --alpha 2 --format csv",
+        '{"algorithm": "restricted", "aligned": false, "alpha": 2, "delta": 4, '
+        '"format": "csv", "kind": "independent", "seed": 7, '
+        '"subcommand": "montecarlo", "threads": 1, "trials": 3}',
+    ),
+    "windowed": (
+        f"{MC} --alpha 2 --algorithm windowed",
+        '{"algorithm": "windowed", "aligned": false, "alpha": 2, "delta": 4, '
+        '"format": "json", "kind": "independent", "seed": 7, '
+        '"subcommand": "montecarlo", "threads": 1, "trials": 3}',
+    ),
+    "substream-test": (
+        "substream-test --trials 2 --seed 7",
+        '{"seed": 7, "subcommand": "substream-test", "trials": 2}',
+    ),
+}
+
 
 def run_cli(args, capsys):
     code = dispatch(args)
@@ -130,6 +182,19 @@ class TestDispatch:
             [sys.executable, "-c", script], capture_output=True, text=True, check=True
         )
         assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    def test_library_modules_load_without_numpy(self):
+        # only recurrence needs numpy, and the package imports no module
+        script = (
+            "import sys\n"
+            "import intervalsel.geometry, intervalsel.restricted, intervalsel.windows\n"
+            "import intervalsel.rng, intervalsel.gadget\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.split() == ["False"]
 
     @pytest.mark.parametrize(
         "args",
@@ -524,6 +589,19 @@ class TestTrialGoldenStdout:
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestGoldenConfig:
+    @pytest.mark.parametrize("name", GOLDEN_CONFIG)
+    def test_config_line(self, name, tmp_path, monkeypatch, capsys):
+        args, config = GOLDEN_CONFIG[name]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "intervals.txt").write_text("# demo instance\n0\n2\n1/2\n")
+        code, _, err = run_cli(args.split(), capsys)
+        assert code == 0
+        assert [line for line in err.splitlines() if line.startswith("config:")] == [
+            f"config: {config}"
+        ]
 
 
 # Input files that no command can use.

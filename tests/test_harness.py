@@ -144,6 +144,11 @@ class TestGenerators:
         with pytest.raises(ValueError, match="64-bit"):
             instance_from_spec(InstanceSpec(kind="gadget", delta=5, seed=SEED, t=t))
 
+    def test_narrow_gadget_delta_is_refused_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(gadget_mod, "random_gadget", lambda *_: pytest.fail("drawn"))
+        with pytest.raises(ValueError, match="delta >= 5"):
+            instance_from_spec(InstanceSpec(kind="gadget", delta=4, seed=SEED, t=5))
+
 
 class TestExhaustive:
     def test_trivial(self):

@@ -5,22 +5,17 @@ import pickle
 
 import pytest
 
-from intervalsel import (
-    Domain,
+from intervalsel.gadget import random_gadget, simulate_protocol, verify
+from intervalsel.geometry import Domain, Scalar, UnitInterval
+from intervalsel.harness import (
     InstanceSpec,
-    Scalar,
     TrialSummary,
-    UnitInterval,
     ValidationError,
-    build_out_table,
     monte_carlo,
-    random_gadget,
-    run_restricted,
-    simulate_protocol,
     substream_monotonicity_test,
-    sweep,
-    verify_gadget,
 )
+from intervalsel.recurrence import build_out_table, sweep
+from intervalsel.restricted import run_restricted
 from intervalsel.rng import SplitMix64
 from intervalsel.windows import WindowMap
 
@@ -69,7 +64,7 @@ def records():
         "TrialSummary": monte_carlo(spec, 5, threads=1),
         "MonotonicityReport": substream_monotonicity_test(3, SEED),
         "GadgetInstance": gadget,
-        "VerificationReport": verify_gadget(gadget),
+        "VerificationReport": verify(gadget),
         "BranchStats": stats.alice_branch,
         "ProtocolStats": stats,
         "OutTable": table,
