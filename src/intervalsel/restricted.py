@@ -29,36 +29,36 @@ so its state is a function of the key ``(generator, a, b)``:
   ``("L", g, a, i)``.
 
 Nodes with one key share one state, so the tree is a DAG of far fewer
-distinct states (hash-consing, as in the unique table of a BDD).  Each
-generator keeps a table of its states by domain, and the generator
+distinct states (hash-consing, as in the unique table of a BDD).  A
+generator on [a0, b0) is its grid: one flat list of (k + 1)**2 cells,
+k = b0 - a0, that holds its states by domain.  The generator
 ``("R", g, i, b)`` hangs off the state ``(g, i, b)``, which is unique in
-g's table.  The slot R_i of every node ``(g, a, b)`` is the left-most
+g's grid.  The slot R_i of every node ``(g, a, b)`` is the left-most
 interval ever fed to T_R(i) = ``(g, i, b)``, and L_i the right-most fed to
-T_L(i), so a state stores four slots: those two intervals and its two
-conditional generators.  It holds no reference to its generator or its
-domain; a generator's table is one flat list of cells, and the feed and
-output passes carry the generator and the cell down.  An arriving interval
-updates each reachable distinct state once.  An update reads only the
+T_L(i), so a state stores four slots: those two intervals and the grids of
+its two conditional generators, both on the state's own domain.  It holds
+no reference to its generator or its domain; the feed and output passes
+carry the grid and its domain down.  An arriving interval updates each
+reachable distinct state once.  An update reads only the
 state's own fields, so only the order within a state is observable, and it
 is the tree's: slot update, then the conditional feed judged against the
 updated slot.
 
 The end-of-stream pass visits each distinct state once and keeps, per
 state, only sizes: the best candidate size, its split point and side, and
-the two counters below.  It fills each generator's grid shortest domain
-first, and a state's conditional generators with the state, so it recurses
-only into nested generators: the budget below, not the domain length,
-bounds its depth.  The winning set is then rebuilt once, by following
-(split point, side) from the root, which takes one slot interval per
-visited state of the result.
+the two counters below.  It fills each grid shortest domain first, and a
+state's conditional grids with the state, so it recurses only into nested
+grids: the budget below, not the domain length, bounds its depth.  The
+winning set is then rebuilt once, by following (split point, side) from
+the root, which takes one slot interval per visited state of the result.
 
 ``instances_touched`` and ``peak_stored_intervals`` still report the
 logical tree: a state's subtree count is the sum over its child edges of
 each child's subtree count, memoised per state.  They can be exponentially
 larger than what is held: time and memory scale with the distinct states.
-Memory is bounded by one budget: a generator charges the (k + 1)**2 cells
-of its grid to a counter of its run (one instance, or all windows of a
-WindowMap) before allocating them, and raises ``GridBudgetError`` past
+Memory is bounded by one budget: each grid's (k + 1)**2 cells are charged
+to a counter of its run (one instance, or all windows of a WindowMap)
+before they are allocated, and ``GridBudgetError`` is raised past
 ``MAX_GRID_CELLS``.  A run holds about 5.5 cells per state and 24 bytes per
 cell (twice that in the output pass); cells also bound the few but huge
 grids of a large delta.
@@ -115,8 +115,15 @@ class RunReport(NamedTuple):
         }
 
 
-def _charge(cells: list[int], w: int) -> None:
-    """Count a w-by-w grid against the run's budget, before it is allocated."""
+def _new_grid(a: int, b: int, cells: list[int]) -> list[_State | None]:
+    """The empty grid of a generator on [a, b), charged to its run before allocation.
+
+    With w = b - a + 1, ``grid[(x - a) * w + y - a]`` is the state on [x, y),
+    or None until an interval inside [x, y) reaches the generator; its root,
+    the state on [a, b), is at index w - 1.  ``cells`` is the one-item count
+    of grid cells the run holds.
+    """
+    w = b - a + 1
     total = cells[0] + w * w
     if total > MAX_GRID_CELLS:
         raise GridBudgetError(
@@ -124,30 +131,7 @@ def _charge(cells: list[int], w: int) -> None:
             f"of state grids, more than MAX_GRID_CELLS = {MAX_GRID_CELLS}"
         )
     cells[0] = total
-
-
-class _Generator:
-    """The states that share one generator, keyed by their domain.
-
-    With w = self.b - self.a + 1, ``grid[(a - self.a) * w + b - self.a]`` is
-    the state on [a, b), or None until an interval inside [a, b) reaches this
-    generator.  The generator's own domain is [self.a, self.b), and the
-    state on it, at index w - 1, is its root.  ``cells`` is the one-item
-    count of grid cells its run holds, charged before the grid is allocated.
-    """
-
-    __slots__ = ("a", "b", "grid", "cells")
-
-    def __init__(self, a: int, b: int, cells: list[int]):
-        w = b - a + 1
-        _charge(cells, w)
-        self.a = a
-        self.b = b
-        self.cells = cells
-        self.grid: list[_State | None] = [None] * (w * w)
-
-    def get(self, a: int, b: int) -> _State | None:
-        return self.grid[(a - self.a) * (self.b - self.a + 1) + b - self.a]
+    return [None] * (w * w)
 
 
 class _State:
@@ -155,9 +139,10 @@ class _State:
 
     ``lo`` and ``hi`` are the left-most and right-most interval it was fed,
     which are the slots R_a and L_b of each of its tree parents.  ``cr`` and
-    ``cl`` are the generators of those parents' conditional children A_R(a)
-    and A_L(b), created on their first feed.  A state knows neither its
-    generator nor its domain: the passes carry both down.
+    ``cl`` are the grids of the generators of those parents' conditional
+    children A_R(a) and A_L(b), on the state's own domain, created on their
+    first feed.  A state knows neither its generator nor its domain: the
+    passes carry both down.
     """
 
     __slots__ = ("lo", "hi", "cr", "cl")
@@ -165,12 +150,15 @@ class _State:
     def __init__(self, first: UnitInterval):
         self.lo = first
         self.hi = first
-        self.cr: _Generator | None = None
-        self.cl: _Generator | None = None
+        self.cr: list[_State | None] | None = None
+        self.cl: list[_State | None] | None = None
 
 
-def _feed(gen: _Generator, iv: UnitInterval, num: int, den: int, fl: int) -> None:
-    """Update, once each, the states of ``gen`` whose domain contains ``iv``.
+def _feed(
+    grid: list, a0: int, b0: int, cells: list[int],
+    iv: UnitInterval, num: int, den: int, fl: int,
+) -> None:
+    """Update, once each, the states on [a0, b0) of ``grid`` that contain ``iv``.
 
     With left endpoint x = num/den and fl = floor(x), the interval lies in
     [a, b) iff a <= fl and b >= fl + 2; every such state exists in the tree
@@ -178,10 +166,8 @@ def _feed(gen: _Generator, iv: UnitInterval, num: int, den: int, fl: int) -> Non
     receive it.  Per state the slot update comes before the conditional feed,
     which is judged against the updated slot.
     """
-    a0 = gen.a
-    k = gen.b - a0
+    k = b0 - a0
     w = k + 1
-    grid = gen.grid
     for ai in range(fl - a0 + 1):
         row = ai * w
         last = row + k
@@ -197,8 +183,8 @@ def _feed(gen: _Generator, iv: UnitInterval, num: int, den: int, fl: int) -> Non
             # state with a pass-through parent (a > a0) is someone's T_R.
             elif ai and num * lo.den > (lo.num + lo.den) * den:
                 if s.cr is None:
-                    s.cr = _Generator(a0 + ai, a0 + idx - row, gen.cells)
-                _feed(s.cr, iv, num, den, fl)
+                    s.cr = _new_grid(a0 + ai, a0 + idx - row, cells)
+                _feed(s.cr, a0 + ai, a0 + idx - row, cells, iv, num, den, fl)
             hi = s.hi.left
             if num * hi.den > hi.num * den:
                 s.hi = iv
@@ -206,35 +192,33 @@ def _feed(gen: _Generator, iv: UnitInterval, num: int, den: int, fl: int) -> Non
             # state with a pass-through parent (b < b0)
             elif idx != last and num * hi.den < (hi.num - hi.den) * den:
                 if s.cl is None:
-                    s.cl = _Generator(a0 + ai, a0 + idx - row, gen.cells)
-                _feed(s.cl, iv, num, den, fl)
+                    s.cl = _new_grid(a0 + ai, a0 + idx - row, cells)
+                _feed(s.cl, a0 + ai, a0 + idx - row, cells, iv, num, den, fl)
 
 
-def _fill(g: _Generator, memo: dict) -> None:
-    """Summarise every state of ``g``, and of the generators below it, into ``memo``.
+def _fill(grid: list, a0: int, b0: int, memo: dict) -> None:
+    """Summarise into ``memo`` each state of ``grid`` on [a0, b0) and of grids below.
 
     ``memo[s]`` is (best candidate size, its split point, its side, tree
     nodes, occupied slots) of every tree node of state ``s``; the counts are
     sums over child edges of the children's counts.  The children [a, i)
     and [i, b) of [a, b) lie left of it in its row and below it in its
     column, so rows run bottom up and columns left to right.  A state's
-    conditional generators, read only by its parents, are filled with it;
-    the feed that created one created its root.
+    conditional grids, on its own domain and read only by its parents, are
+    filled with it; the feed that created one created its root.
     """
-    off = g.a
-    w = g.b - off + 1
-    grid = g.grid
-    for a in range(g.b - 2, off - 1, -1):
-        row = (a - off) * w - off  # grid[row + i] is the state on [a, i)
-        for b in range(a + 2, g.b + 1):
+    w = b0 - a0 + 1
+    for a in range(b0 - 2, a0 - 1, -1):
+        row = (a - a0) * w - a0  # grid[row + i] is the state on [a, i)
+        for b in range(a + 2, b0 + 1):
             s = grid[row + b]
             if s is None:
                 continue
             if s.cr is not None:
-                _fill(s.cr, memo)
+                _fill(s.cr, a, b, memo)
             if s.cl is not None:
-                _fill(s.cl, memo)
-            col = b - off  # grid[(i - off) * w + col] is the state on [i, b)
+                _fill(s.cl, a, b, memo)
+            col = b - a0  # grid[(i - a0) * w + col] is the state on [i, b)
             best, point, side = 0, a + 1, RIGHT_CANDIDATE
             nodes, stored = 1, 0
             for i in range(a + 1, b):
@@ -250,11 +234,11 @@ def _fill(g: _Generator, memo: dict) -> None:
                     l_size = 1
                     c = tl.cl
                     if c is not None:
-                        h = memo[c.grid[i - a]]
+                        h = memo[c[i - a]]
                         l_size += h[0]
                         nodes += h[3]
                         stored += h[4]
-                tr = grid[(i - off) * w + col]
+                tr = grid[(i - a0) * w + col]
                 if tr is not None:
                     h = memo[tr]
                     l_size += h[0]
@@ -263,7 +247,7 @@ def _fill(g: _Generator, memo: dict) -> None:
                     r_size += 1
                     c = tr.cr
                     if c is not None:
-                        h = memo[c.grid[b - i]]
+                        h = memo[c[b - i]]
                         r_size += h[0]
                         nodes += h[3]
                         stored += h[4]
@@ -274,35 +258,36 @@ def _fill(g: _Generator, memo: dict) -> None:
             memo[s] = (best, point, side, nodes, stored)
 
 
-def _picks(g: _Generator, a: int, b: int, s: _State, memo: dict) -> list[UnitInterval]:
-    """The winning candidate of ``s``, rebuilt from the back-pointers in ``memo``.
+def _picks(grid: list, a: int, b: int, memo: dict) -> list[UnitInterval]:
+    """The winning candidate of the root of the grid on [a, b), rebuilt from ``memo``.
 
-    Follows (split point, side) from ``s`` down through the children that
-    form the winning candidate, taking one slot interval per visited state
-    of nonzero size.
+    Follows (split point, side) from the root down through the children
+    that form the winning candidate, taking one slot interval per visited
+    state of nonzero size.
     """
     picks: list[UnitInterval] = []
-    todo = [(g, a, b, s)]
+    todo = [(grid, a, b - a + 1, a, b)]  # a grid, its origin and width, a domain
     while todo:
-        g, a, b, s = todo.pop()
-        size, i, side = memo[s][:3]
+        grid, off, w, a, b = todo.pop()
+        row = (a - off) * w - off  # grid[row + i] is the state on [a, i)
+        size, i, side = memo[grid[row + b]][:3]
         if not size:
             continue
-        tl, tr = g.get(a, i), g.get(i, b)
+        tl, tr = grid[row + i], grid[(i - off) * w + b - off]
         if side == RIGHT_CANDIDATE:
             if tl is not None:
-                todo.append((g, a, i, tl))
+                todo.append((grid, off, w, a, i))
             if tr is not None:
                 picks.append(tr.lo)
                 if tr.cr is not None:
-                    todo.append((tr.cr, i, b, tr.cr.grid[b - i]))
+                    todo.append((tr.cr, i, b - i + 1, i, b))
         else:
             if tr is not None:
-                todo.append((g, i, b, tr))
+                todo.append((grid, off, w, i, b))
             if tl is not None:
                 picks.append(tl.hi)
                 if tl.cl is not None:
-                    todo.append((tl.cl, a, i, tl.cl.grid[i - a]))
+                    todo.append((tl.cl, a, i - a + 1, a, i))
     return picks
 
 
@@ -313,11 +298,12 @@ class InstanceState:
     of a WindowMap; by default an instance counts its own.
     """
 
-    __slots__ = ("domain", "_gen")
+    __slots__ = ("domain", "_grid", "_cells")
 
     def __init__(self, domain: Domain, cells: list[int] | None = None):
         self.domain = domain
-        self._gen = _Generator(domain.a, domain.b, [0] if cells is None else cells)
+        self._cells = [0] if cells is None else cells
+        self._grid = _new_grid(domain.a, domain.b, self._cells)
 
     def feed(self, interval: UnitInterval) -> None:
         """Route one arriving interval through every reachable state.
@@ -326,24 +312,25 @@ class InstanceState:
         recursive feeds below satisfy containment by construction and skip
         the check.
         """
-        if not contained_in(interval, self.domain):
-            raise DomainError(f"{interval} not contained in {self.domain}")
-        left = interval.left
-        _feed(self._gen, interval, left.num, left.den, left.num // left.den)
+        d = self.domain
+        if not contained_in(interval, d):
+            raise DomainError(f"{interval} not contained in {d}")
+        x = interval.left
+        _feed(self._grid, d.a, d.b, self._cells, interval, x.num, x.den, x.num // x.den)
 
     def output(self) -> RunReport:
         """Largest candidate over all split points, validated as independent."""
-        gen, a, b = self._gen, self.domain.a, self.domain.b
-        root = gen.grid[b - a]
+        grid, a, b = self._grid, self.domain.a, self.domain.b
+        root = grid[b - a]
         if root is None:
             point = a + 1 if b - a >= 2 else None
             side = RIGHT_CANDIDATE if point is not None else None
             return RunReport(IndependentSet(), point, side, 1, 0)
         memo: dict = {}
-        _fill(gen, memo)
+        _fill(grid, a, b, memo)
         _, point, side, nodes, stored = memo[root]
         return RunReport(
-            output=IndependentSet(_picks(gen, a, b, root, memo)),
+            output=IndependentSet(_picks(grid, a, b, memo)),
             winning_split_point=point,
             winning_side=side,
             instances_touched=nodes,

@@ -196,7 +196,8 @@ class TestCrossValidation:
     # Packing alpha intervals into [0, alpha+1) is so tight that one optimal
     # interval necessarily starts inside the first unit of some recursive
     # subdomain; from alpha = 5 that unbuffered start costs the bound, so
-    # the alpha = 5 check runs with one extra unit of room.
+    # the alpha = 5 checks run with one extra unit of room, on placements
+    # that use it.
 
     @pytest.mark.parametrize(
         "lefts,delta",
@@ -206,6 +207,7 @@ class TestCrossValidation:
             (("0", "5/4", "5/2"), 4),
             (("0", "7/6", "7/3", "7/2"), 5),
             (("0", "13/10", "13/5", "21/5", "28/5"), 7),
+            (("1/16", "49/32", "3", "143/32", "95/16"), 7),
         ],
     )
     def test_exhaustive_mean_meets_table(self, lefts, delta):
@@ -227,5 +229,16 @@ class TestCrossValidation:
         assert alpha(instance) == 5
         total = sum(
             len(run_restricted(6, order).output) for order in permutations(instance)
+        )
+        assert Fraction(total, 120) == 4
+
+    def test_placement_not_room_decides_alpha_five(self):
+        # The even spread over [0, 6), run with two units of room, still
+        # gives exactly 4; spread over [0, 7) instead (above), the same
+        # five intervals at delta 7 give 53/12 and meet the table.
+        instance = [u(x) for x in ("1/16", "41/32", "5/2", "119/32", "79/16")]
+        assert alpha(instance) == 5
+        total = sum(
+            len(run_restricted(7, order).output) for order in permutations(instance)
         )
         assert Fraction(total, 120) == 4

@@ -76,13 +76,19 @@ class TestInstanceBasics:
             gc.enable()
 
 
-def _grid_cells(gen) -> int:
-    """Cells of a generator's grid and of every generator below it."""
-    total = len(gen.grid)
-    for s in gen.grid:
+def _grid_cells(grid) -> int:
+    """Cells of a generator's grid and of every grid below it."""
+    total = len(grid)
+    for s in grid:
         if s is not None:
             total += sum(_grid_cells(c) for c in (s.cr, s.cl) if c is not None)
     return total
+
+
+def _state(inst, a, b):
+    """The state on [a, b) of the instance's root grid, or None."""
+    a0, b0 = inst.domain.a, inst.domain.b
+    return inst._grid[(a - a0) * (b0 - a0 + 1) + b - a0]
 
 
 class TestGridBudget:
@@ -93,7 +99,7 @@ class TestGridBudget:
             inst = InstanceState(wrapper_domain(delta))
             for iv in random_intervals(rng, delta, rng.below(9)):
                 inst.feed(iv)
-            assert inst._gen.cells[0] == _grid_cells(inst._gen)
+            assert inst._cells[0] == _grid_cells(inst._grid)
 
     def test_feed_is_charged_before_a_child_grid(self, monkeypatch):
         # [2.5, 3.5) then [0, 1) on [0, 5): the state on [0, 4) takes a
@@ -103,7 +109,7 @@ class TestGridBudget:
         fits = InstanceState(Domain(0, 5))
         for iv in stream:
             fits.feed(iv)
-        assert fits._gen.cells == [61]
+        assert fits._cells == [61]
         monkeypatch.setattr(restricted, "MAX_GRID_CELLS", 36 + 24)
         tight = InstanceState(Domain(0, 5))
         tight.feed(stream[0])
@@ -122,7 +128,7 @@ class TestFeedTraces:
     def test_first_arrival_lands_in_matching_slots(self):
         inst = InstanceState(Domain(-1, 3))
         inst.feed(u(0))
-        t_r0, t_l2 = inst._gen.get(0, 3), inst._gen.get(-1, 2)
+        t_r0, t_l2 = _state(inst, 0, 3), _state(inst, -1, 2)
         assert t_r0 is not None and t_l2 is not None
         assert str(t_r0.lo.left) == "0"
         assert str(t_l2.hi.left) == "0"
@@ -132,14 +138,14 @@ class TestFeedTraces:
         inst.feed(u(0))
         inst.feed(u(2))
         # second interval is independent of and right of R_0
-        assert inst._gen.get(0, 5).cr is not None
+        assert _state(inst, 0, 5).cr is not None
         assert len(inst.output().output) == 2
 
     def test_overlapping_pair_is_not_propagated(self):
         inst = InstanceState(Domain(-1, 5))
         inst.feed(u(0))
         inst.feed(u("1/4"))
-        assert inst._gen.get(0, 5).cr is None
+        assert _state(inst, 0, 5).cr is None
         assert len(inst.output().output) == 1
 
 

@@ -78,7 +78,7 @@ class TestWindowMap:
         for origin in (-1, 0):
             alone = InstanceState(wrapper_domain(3))
             alone.feed(u("1/2").translate(-origin))
-            assert alone._gen.cells == [36]
+            assert alone._cells == [36]
         with pytest.raises(GridBudgetError):
             WindowMap(3).feed(u("1/2"))
 

@@ -143,6 +143,8 @@ def main() -> int:
     args = parser.parse_args()
 
     shas = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
+    if args.work is not None:
+        args.work.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.work))
     try:
         copies = {side: export(shas[side], work / side) for side in SIDES}
