@@ -25,7 +25,7 @@ from .geometry import (
     alpha,
     parse_intervals,
 )
-from .recurrence import build_out_table
+from .recurrence import out_lb
 from .restricted import run_restricted
 from .rng import SplitMix64, derive, fisher_yates, map_trials
 from .windows import run_windowed
@@ -244,7 +244,7 @@ def monte_carlo(
     var = (total_sq - count * mean * mean) / (count - 1) if count > 1 else 0.0
     std = math.sqrt(max(var, 0.0))
     stderr = std / math.sqrt(count)
-    bound = float(build_out_table(max(a, 2)).bound(a)) if a >= 1 else 0.0
+    bound = float(out_lb(a))
     return TrialSummary(
         trials=count,
         mean=mean,

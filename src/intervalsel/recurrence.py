@@ -31,7 +31,10 @@ Neumaier-compensated: a plain running sum drifts to ~8e-16 relative
 error by x = 1200, against ~3e-16 for the direct evaluation of the
 maxima and for the compensated form (measured against a 50-digit
 decimal evaluation in the tests).  The exact lane keeps the direct
-form, so the 1e-9 cross-check compares two different formulations.
+sum of the maxima, in integers scaled by 3*4*...*x (a multiple of every
+denominator), so the 1e-9 cross-check compares two different
+formulations.  ``out_lb`` reads the exact lane alone up to x = 64, and
+numpy is imported only where the floating lane is built.
 
 The restricted-domain factor for a window width delta is
 min over alpha in {1..delta-1} of out_lb(alpha)/alpha, and the overall
@@ -44,10 +47,12 @@ built table is read-only and thread-safe.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Bound = Union[Fraction, float]
 
@@ -91,17 +96,27 @@ class OutTable(NamedTuple):
 
 
 def _exact_lane(x_max: int) -> list[Fraction]:
-    values = [Fraction(0), Fraction(1), Fraction(2)][: x_max + 1]
-
-    def lb(y: int) -> Fraction:
-        return values[y] if y > 0 else Fraction(0)
-
+    # out_lb(x) has a denominator dividing 3*4*...*x, so every value times
+    # scale = 3*4*...*x_max is an integer and the division by x is exact.
+    # Terms i and x+1-i hold the same two branches swapped: each pair is
+    # summed once and doubled, the middle term of an odd x once.
+    scale = math.prod(range(3, x_max + 1))
+    lb = [0, scale, 2 * scale][: x_max + 1] + [0]  # lb[-1] = out_lb(-1) = 0
     for x in range(3, x_max + 1):
-        total = Fraction(0)
-        for i in range(1, x + 1):
-            total += max(lb(i - 1) + lb(x - i - 1), lb(x - i) + lb(i - 2))
-        values.append(1 + total / x)
-    return values
+        total = 0
+        for i in range(1, x // 2 + 1):
+            total += max(lb[i - 1] + lb[x - i - 1], lb[x - i] + lb[i - 2])
+        total *= 2
+        if x % 2:
+            i = (x + 1) // 2
+            total += lb[i - 1] + lb[i - 2]
+        cur = scale + total // x
+        if cur < lb[x - 1] or cur > x * scale:
+            raise ArithmeticError(
+                f"out_lb({x}) = {Fraction(cur, scale)} breaks table invariants"
+            )
+        lb.insert(x, cur)
+    return [Fraction(v, scale) for v in lb[:-1]]
 
 
 def _float_lane(x_max: int) -> np.ndarray:
@@ -111,23 +126,28 @@ def _float_lane(x_max: int) -> np.ndarray:
     # with d[k] = v[k] - v[k-1] (d[0] = 0).  The running prefix sum P is
     # Neumaier-compensated (all terms are non-negative): a plain running sum
     # drifts to ~8e-16 relative error by x = 1200, against ~3e-16, and moves
-    # printed digits of `dp --sweep 2..3000`.
+    # printed digits of `dp --sweep 2..3000`.  r mirrors d (r[x_max-k] = d[k]),
+    # so d[x-1-j] for j < x//2 is the contiguous slice r[x_max+1-x:].
+    import numpy as np
+
     v = np.zeros(x_max + 1, dtype=np.float64)
     d = np.zeros(x_max + 1, dtype=np.float64)
     base = (0.0, 1.0, 2.0)[: x_max + 1]
     v[: len(base)] = base
     d[1 : len(base)] = np.diff(base)
+    r = d[::-1].copy()
     buf = np.empty(x_max // 2 + 1, dtype=np.float64)
     prefix, carry = 1.0, 0.0  # P(x-2) at x = 3, compensation
     prev = 2.0  # v[x-1]
     for x in range(3, x_max + 1):
         h = x // 2
         half = buf[:h]
-        np.subtract(d[:h], d[x - h : x][::-1], out=half)
-        np.abs(half, out=half)
-        cur = 1.0 + (2.0 * (prefix + carry) + prev + float(half.sum())) / x
+        lo = x_max + 1 - x
+        np.subtract(d[:h], r[lo : lo + h], half)
+        np.abs(half, half)
+        cur = 1.0 + (2.0 * (prefix + carry) + prev + float(np.add.reduce(half))) / x
         v[x] = cur
-        d[x] = cur - prev
+        d[x] = r[lo - 1] = cur - prev
         total = prefix + prev
         if prefix >= prev:
             carry += (prefix - total) + prev
@@ -145,6 +165,8 @@ def build_out_table(x_max: int) -> OutTable:
     the certification), or if the exact and floating lanes disagree beyond
     1e-9 relative error on their overlap.
     """
+    import numpy as np
+
     if x_max < 0:
         raise ValueError("x_max must be non-negative")
 
@@ -162,9 +184,6 @@ def build_out_table(x_max: int) -> OutTable:
             f"exact and floating lanes disagree: relative error {worst:.3e}"
         )
 
-    for x in range(1, exact_limit + 1):
-        if exact[x] < exact[x - 1] or exact[x] > x:
-            raise ArithmeticError(f"out_lb({x}) = {exact[x]} breaks table invariants")
     diffs = np.diff(approx)
     if (diffs < 0).any() or (approx > np.arange(x_max + 1)).any():
         raise ArithmeticError("floating lane breaks table invariants")
@@ -184,6 +203,19 @@ def build_out_table(x_max: int) -> OutTable:
         max_rel_disagreement=worst,
         ratio_violations=violations,
     )
+
+
+def out_lb(x: int) -> Bound:
+    """out_lb(x) as ``build_out_table(max(x, 2)).bound(x)`` returns it.
+
+    Up to DEFAULT_EXACT_UNTIL this reads the exact lane alone, without the
+    floating lane or numpy.
+    """
+    if x < 0:
+        return Fraction(0)
+    if x <= DEFAULT_EXACT_UNTIL:
+        return _exact_lane(x)[x]
+    return build_out_table(x).bound(x)
 
 
 class FactorRow(NamedTuple):
@@ -225,12 +257,17 @@ def sweep(delta_min: int, delta_max: int, table: OutTable | None = None) -> Fact
     elif table.x_max < delta_max - 1:
         raise ValueError("supplied table does not cover the sweep range")
 
+    # out_lb(1..delta_max-1) as table.bound reads it: exact, then float
+    bounds = [
+        *table.exact[:delta_max],
+        *table.approx[table.exact_limit + 1 : delta_max].tolist(),
+    ]
     rows: list[FactorRow] = []
     best: Bound = Fraction(1)
     best_alpha = 1
     for delta in range(2, delta_max + 1):
         a_new = delta - 1
-        ratio = table.bound(a_new) / a_new
+        ratio = bounds[a_new] / a_new
         if ratio < best:
             best, best_alpha = ratio, a_new
         if delta >= delta_min:

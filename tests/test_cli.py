@@ -184,17 +184,46 @@ class TestDispatch:
         assert json.loads(proc.stdout.splitlines()[-1]) == []
 
     def test_library_modules_load_without_numpy(self):
-        # only recurrence needs numpy, and the package imports no module
+        # only the dp float lane needs numpy, and imports it where it runs
         script = (
             "import sys\n"
             "import intervalsel.geometry, intervalsel.restricted, intervalsel.windows\n"
-            "import intervalsel.rng, intervalsel.gadget\n"
+            "import intervalsel.rng, intervalsel.gadget, intervalsel.harness\n"
+            "import intervalsel.recurrence, intervalsel.cli\n"
             "print('numpy' in sys.modules)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, check=True
         )
         assert proc.stdout.split() == ["False"]
+
+    @pytest.mark.parametrize(
+        "args,loads_numpy",
+        [
+            (["run", "--unrestricted", "--delta", "5", "--input", "{path}"], False),
+            (["gadget", "--t", "6", "--simulate", "--algorithm", "windowed:6",
+              "--samples", "20", "--seed", "1"], False),
+            (["montecarlo", "--alpha", "6", "--delta", "7", "--trials", "4",
+              "--seed", "1"], False),
+            (["substream-test", "--trials", "2", "--seed", "7"], False),
+            (["dp", "--delta", "70"], True),
+        ],
+    )
+    def test_only_dp_loads_numpy(self, args, loads_numpy, tmp_path):
+        path = tmp_path / "stream.txt"
+        path.write_text("0\n3/2\n7/2\n4\n")
+        args = [a.format(path=path) for a in args]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from intervalsel.cli import dispatch\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = dispatch({args!r})\n"
+            "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, loads_numpy]
 
     @pytest.mark.parametrize(
         "args",
@@ -689,9 +718,10 @@ class TestExitCodes:
     def test_out_of_memory_is_a_data_error(self, tmp_path):
         # 64 lefts on the eighth grid over a length-16 domain need far more
         # distinct states than the 200 MB address-space cap allows; the
-        # states must be freed before the error line is printed.  One BLAS
-        # thread keeps the thread stacks numpy reserves at import out of
-        # the cap on many-core hosts.
+        # states must be freed before the error line is printed.  `run`
+        # does not import numpy; one BLAS thread would keep the thread
+        # stacks numpy reserves at import out of the cap on many-core hosts
+        # if it ever did.
         path = tmp_path / "big.txt"
         path.write_text("\n".join(f"{(37 * j) % 113}/8" for j in range(64)))
 

@@ -12,6 +12,7 @@ from intervalsel.recurrence import (
     DEFAULT_EXACT_UNTIL,
     DELTA5_NOTE,
     build_out_table,
+    out_lb,
     sweep,
 )
 from intervalsel.restricted import run_restricted
@@ -37,9 +38,19 @@ class TestOutTable:
             t.bound(4)
 
     def test_matches_direct_summation(self):
-        t = build_out_table(16)
-        for x in range(17):
-            assert t.bound(x) == direct_out(x)
+        # the whole exact lane, summed in scaled integers one mirrored pair
+        # at a time, against the defining sum of Fractions
+        t = build_out_table(DEFAULT_EXACT_UNTIL)
+        for x in range(DEFAULT_EXACT_UNTIL + 1):
+            assert t.bound(x) == direct_out(x), x
+
+    def test_out_lb_reads_like_the_table(self):
+        # exact lane alone up to x = 64, the table's float beyond
+        for x in range(81):
+            expected = build_out_table(max(x, 2)).bound(x)
+            got = out_lb(x)
+            assert got == expected, x
+            assert type(got) is type(expected), x
 
     def test_exact_and_float_lanes_agree(self):
         t = build_out_table(200)
