@@ -89,15 +89,15 @@ def _add_dp(sub) -> None:
 
 
 def _cmd_dp(args) -> int:
-    if args.sweep:
+    if (args.delta is None) == (args.sweep is None):
+        raise UsageError("give exactly one of --delta or --sweep")
+    if args.sweep is not None:
         try:
             lo, hi = (int(part) for part in args.sweep.split("..", 1))
         except ValueError:
             raise UsageError(f"bad sweep range {args.sweep!r}; expected MIN..MAX")
-    elif args.delta is not None:
-        lo = hi = args.delta
     else:
-        raise UsageError("dp needs --delta or --sweep")
+        lo = hi = args.delta
     if lo < 2:
         raise UsageError("delta must be at least 2")
     if hi < lo:

@@ -331,7 +331,12 @@ def resolve_algorithm(name: str) -> Algorithm:
     if name == "first":
         return _first_only_algorithm
     if name.startswith("windowed:"):
-        delta = int(name.split(":", 1)[1])
+        try:
+            delta = int(name.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(
+                f"bad algorithm {name!r}: expected oracle, first or windowed:DELTA"
+            ) from None
         if delta < 2:  # refused here, before a sample block or a pool starts
             raise ValueError("delta must be at least 2")
         return lambda stream: run_windowed(delta, stream)

@@ -44,27 +44,31 @@ state's own fields, so only the order within a state is observable, and it
 is the tree's: slot update, then the conditional feed judged against the
 updated slot.
 
-The end-of-stream pass visits each distinct state once and keeps, per
-state, only sizes: the best candidate size, its split point and side, and
-the two counters below.  It fills each grid shortest domain first, and a
+The end-of-stream pass visits each distinct state once and writes into
+it only sizes: the best candidate size, its split point and side, and the
+two counters below.  It fills each grid shortest domain first, and a
 state's conditional grids with the state, so it recurses only into nested
-grids: the budget below, not the domain length, bounds its depth.  The
-winning set is then rebuilt once, by following (split point, side) from
-the root, which takes one slot interval per visited state of the result.
+grids: the budget below, not the domain length, bounds its depth.  It
+allocates nothing per state, so what the feed left is the run's memory.
+The winning set is then rebuilt once, by following (split point, side)
+from the root, which takes one slot interval per visited state of the
+result.
 
 ``instances_touched`` and ``peak_stored_intervals`` still report the
 logical tree: a state's subtree count is the sum over its child edges of
-each child's subtree count, memoised per state.  They can be exponentially
+each child's subtree count, stored on the state.  They can be exponentially
 larger than what is held: time and memory scale with the distinct states.
 Memory is bounded by one budget: each grid's (k + 1)**2 cells are charged
 to a counter of its run (one instance, or all windows of a WindowMap)
 before they are allocated, and ``GridBudgetError`` is raised past
-``MAX_GRID_CELLS``.  A run holds about 5.5 cells per state and 24 bytes per
-cell (twice that in the output pass); cells also bound the few but huge
-grids of a large delta.
+``MAX_GRID_CELLS``.  A run holds about 5.5 cells per state and 26 to 32
+bytes per cell, which the output pass does not raise; cells also bound the
+few but huge grids of a large delta.
 
-A single instance is a mutable single-writer state machine; distinct
-instances are independent and may run concurrently.
+A single instance is a mutable single-writer state machine, for
+``output()`` as well as for ``feed()``, since the pass rewrites every
+state's summary; distinct instances are independent and may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -143,9 +147,12 @@ class _State:
     children A_R(a) and A_L(b), on the state's own domain, created on their
     first feed.  A state knows neither its generator nor its domain: the
     passes carry both down.
+
+    ``size``, ``point``, ``side``, ``nodes`` and ``stored`` are the state's
+    end-of-stream summary, written by ``_fill`` and read only after it.
     """
 
-    __slots__ = ("lo", "hi", "cr", "cl")
+    __slots__ = ("lo", "hi", "cr", "cl", "size", "point", "side", "nodes", "stored")
 
     def __init__(self, first: UnitInterval):
         self.lo = first
@@ -196,16 +203,18 @@ def _feed(
                 _feed(s.cl, a0 + ai, a0 + idx - row, cells, iv, num, den, fl)
 
 
-def _fill(grid: list, a0: int, b0: int, memo: dict) -> None:
-    """Summarise into ``memo`` each state of ``grid`` on [a0, b0) and of grids below.
+def _fill(grid: list, a0: int, b0: int) -> None:
+    """Summarise each state of ``grid`` on [a0, b0) and of the grids below it.
 
-    ``memo[s]`` is (best candidate size, its split point, its side, tree
-    nodes, occupied slots) of every tree node of state ``s``; the counts are
-    sums over child edges of the children's counts.  The children [a, i)
-    and [i, b) of [a, b) lie left of it in its row and below it in its
-    column, so rows run bottom up and columns left to right.  A state's
-    conditional grids, on its own domain and read only by its parents, are
-    filled with it; the feed that created one created its root.
+    A state's summary is written into its own fields: the best candidate
+    size, its split point and side, and the tree nodes and occupied slots of
+    every tree node of the state; the counts are sums over child edges of
+    the children's counts.  The children [a, i) and [i, b) of [a, b) lie
+    left of it in its row and below it in its column, so rows run bottom up
+    and columns left to right, and every child is summarised before its
+    parent reads it.  A state's conditional grids, on its own domain and read
+    only by its parents, are filled with it; the feed that created one
+    created its root.
     """
     w = b0 - a0 + 1
     for a in range(b0 - 2, a0 - 1, -1):
@@ -215,9 +224,9 @@ def _fill(grid: list, a0: int, b0: int, memo: dict) -> None:
             if s is None:
                 continue
             if s.cr is not None:
-                _fill(s.cr, a, b, memo)
+                _fill(s.cr, a, b)
             if s.cl is not None:
-                _fill(s.cl, a, b, memo)
+                _fill(s.cl, a, b)
             col = b - a0  # grid[(i - a0) * w + col] is the state on [i, b)
             best, point, side = 0, a + 1, RIGHT_CANDIDATE
             nodes, stored = 1, 0
@@ -227,39 +236,37 @@ def _fill(grid: list, a0: int, b0: int, memo: dict) -> None:
                 tl = grid[row + i]
                 # each pass-through child's first feed filled the slot L_i or R_i
                 if tl is not None:
-                    h = memo[tl]
-                    r_size = h[0]
-                    nodes += h[3]
-                    stored += 1 + h[4]
+                    r_size = tl.size
+                    nodes += tl.nodes
+                    stored += 1 + tl.stored
                     l_size = 1
                     c = tl.cl
                     if c is not None:
-                        h = memo[c[i - a]]
-                        l_size += h[0]
-                        nodes += h[3]
-                        stored += h[4]
+                        al = c[i - a]  # A_L(i), the root of its grid
+                        l_size += al.size
+                        nodes += al.nodes
+                        stored += al.stored
                 tr = grid[(i - a0) * w + col]
                 if tr is not None:
-                    h = memo[tr]
-                    l_size += h[0]
-                    nodes += h[3]
-                    stored += 1 + h[4]
+                    l_size += tr.size
+                    nodes += tr.nodes
+                    stored += 1 + tr.stored
                     r_size += 1
                     c = tr.cr
                     if c is not None:
-                        h = memo[c[b - i]]
-                        r_size += h[0]
-                        nodes += h[3]
-                        stored += h[4]
+                        ar = c[b - i]  # A_R(i), the root of its grid
+                        r_size += ar.size
+                        nodes += ar.nodes
+                        stored += ar.stored
                 if r_size > best:
                     best, point, side = r_size, i, RIGHT_CANDIDATE
                 if l_size > best:
                     best, point, side = l_size, i, LEFT_CANDIDATE
-            memo[s] = (best, point, side, nodes, stored)
+            s.size, s.point, s.side, s.nodes, s.stored = best, point, side, nodes, stored
 
 
-def _picks(grid: list, a: int, b: int, memo: dict) -> list[UnitInterval]:
-    """The winning candidate of the root of the grid on [a, b), rebuilt from ``memo``.
+def _picks(grid: list, a: int, b: int) -> list[UnitInterval]:
+    """The winning candidate of the root of the filled grid on [a, b).
 
     Follows (split point, side) from the root down through the children
     that form the winning candidate, taking one slot interval per visited
@@ -270,11 +277,12 @@ def _picks(grid: list, a: int, b: int, memo: dict) -> list[UnitInterval]:
     while todo:
         grid, off, w, a, b = todo.pop()
         row = (a - off) * w - off  # grid[row + i] is the state on [a, i)
-        size, i, side = memo[grid[row + b]][:3]
-        if not size:
+        s = grid[row + b]
+        if not s.size:
             continue
+        i = s.point
         tl, tr = grid[row + i], grid[(i - off) * w + b - off]
-        if side == RIGHT_CANDIDATE:
+        if s.side == RIGHT_CANDIDATE:
             if tl is not None:
                 todo.append((grid, off, w, a, i))
             if tr is not None:
@@ -326,15 +334,13 @@ class InstanceState:
             point = a + 1 if b - a >= 2 else None
             side = RIGHT_CANDIDATE if point is not None else None
             return RunReport(IndependentSet(), point, side, 1, 0)
-        memo: dict = {}
-        _fill(grid, a, b, memo)
-        _, point, side, nodes, stored = memo[root]
+        _fill(grid, a, b)
         return RunReport(
-            output=IndependentSet(_picks(grid, a, b, memo)),
-            winning_split_point=point,
-            winning_side=side,
-            instances_touched=nodes,
-            peak_stored_intervals=stored,
+            output=IndependentSet(_picks(grid, a, b)),
+            winning_split_point=root.point,
+            winning_side=root.side,
+            instances_touched=root.nodes,
+            peak_stored_intervals=root.stored,
         )
 
 

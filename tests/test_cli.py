@@ -279,6 +279,12 @@ class TestDp:
 
     def test_bad_sweep_spec(self, capsys):
         assert run_cli(["dp", "--sweep", "5"], capsys)[0] == 2
+        code, out, err = run_cli(["dp", "--delta", "2", "--sweep", "3..4"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "usage error: give exactly one of --delta or --sweep"
+        )
         code, _, err = run_cli(["dp", "--sweep", "9..5"], capsys)
         assert code == 2
         assert "usage error: need 2 <= delta_min <= delta_max" in err
@@ -584,6 +590,21 @@ class TestGadget:
         assert code == 2
         assert out == ""
         assert err.splitlines()[-1] == "usage error: delta must be at least 2"
+
+    def test_bad_window_width_is_named(self, capsys):
+        code, out, err = run_cli(
+            [
+                "gadget", "--t", "4", "--simulate", "--algorithm", "windowed:abc",
+                "--seed", SEED,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "usage error: bad algorithm 'windowed:abc': "
+            "expected oracle, first or windowed:DELTA"
+        )
 
 
 class TestSubstream:

@@ -229,6 +229,9 @@ class TestProtocol:
         for name in ("windowed:1", "windowed:-3"):
             with pytest.raises(ValueError, match="delta must be at least 2"):
                 resolve_algorithm(name)
+        for name in ("windowed:abc", "windowed:"):
+            with pytest.raises(ValueError, match=f"bad algorithm '{name}': expected"):
+                resolve_algorithm(name)
 
 
 class TestStreamDistribution:

@@ -233,15 +233,17 @@ class TestCrossValidation:
         table = build_out_table(a)
         assert Fraction(total, count) >= table.bound(a)
 
-    def test_tightest_packing_caps_alpha_five(self):
-        # At delta = alpha + 1 the certified value 62/15 is provably not
-        # reachable; the honest measured value is pinned here.
-        instance = [u(Fraction(9 * j, 8)) for j in range(5)]
-        assert alpha(instance) == 5
-        total = sum(
-            len(run_restricted(6, order).output) for order in permutations(instance)
-        )
-        assert Fraction(total, 120) == 4
+    @pytest.mark.parametrize("a", [2, 3, 4, 5])
+    def test_tightest_packing_mean_is_two_thirds_of_delta(self, a):
+        # At delta = alpha + 1 the floors are 0, ..., alpha - 1 whatever the
+        # placement, and the mean over all orders is 2(alpha + 1)/3 (2, 8/3,
+        # 10/3, 4).  At alpha = 5 that is below the certified value 62/15,
+        # which is thus provably not reachable; the honest value is pinned.
+        instance = [u(Fraction(9 * j, 8)) for j in range(a)]
+        assert alpha(instance) == a
+        orders = list(permutations(instance))
+        total = sum(len(run_restricted(a + 1, order).output) for order in orders)
+        assert Fraction(total, len(orders)) == Fraction(2 * (a + 1), 3)
 
     def test_placement_not_room_decides_alpha_five(self):
         # The even spread over [0, 6), run with two units of room, still

@@ -1,9 +1,11 @@
 import gc
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intervalsel import restricted
 from intervalsel.geometry import Domain, alpha
@@ -119,6 +121,24 @@ class TestGridBudget:
         with pytest.raises(GridBudgetError):
             InstanceState(Domain(0, 5))
 
+    def test_output_pass_allocates_nothing_per_state(self):
+        # The summaries live on the states, so the memory the feed left, which
+        # the budget bounds, is the whole run's; a memo of one tuple per state
+        # added more than half again here.
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            inst = InstanceState(wrapper_domain(8))
+            for iv in gen_independent(7, 8, seed=1):
+                inst.feed(iv)
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            inst.output()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 0.05 * held
+
 
 class TestFeedTraces:
     # The root's pass-through child T_R(i) is the state on [i, b) and T_L(i)
@@ -190,7 +210,51 @@ class TestOutputs:
             run_restricted(3, [u("5/2")])  # [5/2, 7/2] leaves [0, 3)
 
 
+@st.composite
+def floor_twins(draw, den=16):
+    """(delta, two orders): one arrival order of two independent placements
+    with the same strictly increasing floors in {0, ..., delta - 2}.
+
+    Floors one apart need rising offsets in [0, 1) for a gap above 1, so
+    each run of consecutive floors draws its offsets as a sorted set.
+    """
+    delta = draw(st.integers(3, 8))
+    floors = sorted(draw(st.sets(st.integers(0, delta - 2), min_size=1)))
+    runs = [[floors[0]]]
+    for f in floors[1:]:
+        if f == runs[-1][-1] + 1:
+            runs[-1].append(f)
+        else:
+            runs.append([f])
+
+    def placement():
+        lefts = []
+        for run in runs:
+            n = len(run)
+            offsets = sorted(draw(st.sets(st.integers(0, den - 1), min_size=n, max_size=n)))
+            lefts += [u(Fraction(f * den + o, den)) for f, o in zip(run, offsets)]
+        return lefts
+
+    first, second = placement(), placement()
+    order = draw(st.permutations(range(len(floors))))
+    return delta, [first[j] for j in order], [second[j] for j in order]
+
+
 class TestAlgorithmProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(floor_twins())
+    def test_floors_decide_an_independent_run(self, case):
+        # On an independent instance the feed reads containment through each
+        # left end's floor and the slot tests through the arrival order alone.
+        delta, first, second = case
+        reports = [run_restricted(delta, order) for order in (first, second)]
+        ranks = [
+            [sorted(order, key=lambda iv: iv.left).index(iv) for iv in rep.output]
+            for order, rep in zip((first, second), reports)
+        ]
+        assert ranks[0] == ranks[1]
+        assert reports[0]._replace(output=None) == reports[1]._replace(output=None)
+
     def test_output_always_independent_and_below_alpha(self):
         rng = SplitMix64(2024)
         for _ in range(150):
