@@ -22,9 +22,9 @@ uniformly.
 
 Simulation samples are independent: sample k draws everything from
 ``derive(seed, k)``, so ``rng.map_trials`` may run blocks of samples in
-parallel.  A block counts samples per outcome (output size, bit recovered
-correctly, target built privately), and the protocol statistics are read
-off the merged counts.
+parallel.  A sample returns its outcome (output size, bit recovered
+correctly, target built privately); ``map_trials`` counts samples per
+outcome, and the protocol statistics are read off those counts.
 """
 
 from __future__ import annotations
@@ -337,7 +337,7 @@ def resolve_algorithm(name: str) -> Algorithm:
             raise ValueError(
                 f"bad algorithm {name!r}: expected oracle, first or windowed:DELTA"
             ) from None
-        if delta < 2:  # refused here, before a sample block or a pool starts
+        if delta < 2:  # refused here, before a sample or a pool starts
             raise ValueError("delta must be at least 2")
         return lambda stream: run_windowed(delta, stream)
     raise ValueError(f"unknown algorithm {name!r}")
@@ -405,10 +405,17 @@ class ProtocolStats(NamedTuple):
         }
 
 
-def _run_sample(t: int, algorithm: Algorithm, rng: SplitMix64) -> tuple[int, bool, bool]:
-    """One protocol round: returns (output size, bit correct, target built privately)."""
+def _run_sample(
+    t: int, algorithm: Union[str, Algorithm], seed: int, k: int
+) -> tuple[int, bool, bool]:
+    """Protocol round k: returns (output size, bit correct, target built privately).
+
+    A registry name is resolved here, so only the name crosses to a worker.
+    """
+    fn = resolve_algorithm(algorithm) if isinstance(algorithm, str) else algorithm
+    rng = derive(seed, k)
     g = random_gadget(t, rng)
-    raw = algorithm(g.stream)
+    raw = fn(g.stream)
     output = raw if isinstance(raw, IndependentSet) else IndependentSet(raw)
     size = len(output)
     if size > 3:
@@ -435,14 +442,6 @@ def _run_sample(t: int, algorithm: Algorithm, rng: SplitMix64) -> tuple[int, boo
         recovered = rng.bit()
     correct = recovered == g.alice_bits[g.index]
     return size, correct, g.alice_built_target
-
-
-def _sample_block(
-    t: int, algorithm: Union[str, Algorithm], seed: int, start: int, stop: int
-) -> Counter:
-    """Count of samples per (output size, bit correct, target built privately)."""
-    fn = resolve_algorithm(algorithm) if isinstance(algorithm, str) else algorithm
-    return Counter(_run_sample(t, fn, derive(seed, k)) for k in range(start, stop))
 
 
 def _branch(outcomes: Counter, private: bool) -> BranchStats:
@@ -477,13 +476,13 @@ def simulate_protocol(
     parallel execution needs the picklable name form.
     """
     if isinstance(algorithm, str):
-        resolve_algorithm(algorithm)  # a bad name fails before any block runs
+        resolve_algorithm(algorithm)  # a bad name fails before any sample runs
     if samples < 1:
         raise ValueError("need at least one sample")
 
     # A callable may not pickle, so only a registry name runs in parallel.
     workers = threads if isinstance(algorithm, str) else 1
-    outcomes = map_trials(_sample_block, (t, algorithm, seed), samples, workers)
+    outcomes = map_trials(_run_sample, (t, algorithm, seed), samples, workers)
     alice = _branch(outcomes, True)
     bob = _branch(outcomes, False)
     return ProtocolStats(

@@ -5,8 +5,10 @@ Arithmetic that would leave that range raises instead of wrapping or
 silently falling back to floats, so every geometric predicate in this
 package is exact by construction.
 
-All values here are immutable after construction and safe to share
-between threads; the module functions are pure.
+The four value types share one protocol, written once in ``_Value``: they
+are immutable after construction, and they pickle, compare, hash and print
+through the tuple of their slot values.  All are safe to share between
+threads; the module functions are pure.
 """
 
 from __future__ import annotations
@@ -48,13 +50,48 @@ def _decimal_exponent(body: str) -> int:
         return 0
 
 
-class Scalar:
+class _Value:
+    """Base of the value types: the fields are the subclass's ``__slots__``.
+
+    ``__init__`` writes each field once through ``object.__setattr__``;
+    after that any assignment raises.  Pickling, equality, hashing and
+    ``repr`` (``Name(field=value, ...)``) all read the tuple of field values.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
+        )
+        return f"{type(self).__name__}({shown})"
+
+
+class Scalar(_Value):
     """A reduced rational with 64-bit numerator and positive 64-bit denominator.
 
     Always stored with gcd(|num|, den) = 1 and den > 0.  Operands are
     Scalars only.  Results of + and - are range-checked; comparisons are
     exact (intermediate cross products are computed with Python integers and
-    never stored).
+    never stored).  ``__eq__`` and ``__hash__`` are its own rather than the
+    base's: sorting by left endpoint compares Scalars in the hot loops.
     """
 
     __slots__ = ("num", "den")
@@ -72,12 +109,6 @@ class Scalar:
             raise ScalarOverflowError(f"{num}/{den} outside the 64-bit range")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
-
-    def __reduce__(self):
-        return (Scalar, (self.num, self.den))
 
     @classmethod
     def parse(cls, text: str) -> "Scalar":
@@ -143,16 +174,13 @@ class Scalar:
     def __str__(self) -> str:
         return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
 
-    def __repr__(self) -> str:
-        return f"Scalar({self.num}, {self.den})"
-
 
 # UnitInterval and Domain are plain slotted classes rather than NamedTuples:
 # their fields are read in the feed's inner loops, and CPython 3.11 reads a
 # slot about three times faster than a NamedTuple field.
 
 
-class UnitInterval:
+class UnitInterval(_Value):
     """Closed interval [left, left + 1].
 
     The right endpoint is implicit: unit length is a construction invariant,
@@ -163,23 +191,6 @@ class UnitInterval:
 
     def __init__(self, left: Scalar):
         object.__setattr__(self, "left", left)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnitInterval is immutable")
-
-    def __reduce__(self):
-        return (UnitInterval, (self.left,))
-
-    def __eq__(self, other) -> bool:
-        if type(other) is UnitInterval:
-            return self.left == other.left
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.left)
-
-    def __repr__(self) -> str:
-        return f"UnitInterval(left={self.left!r})"
 
     @property
     def right(self) -> Scalar:
@@ -195,7 +206,7 @@ class UnitInterval:
         return f"[{self.left}, {self.right}]"
 
 
-class Domain:
+class Domain(_Value):
     """Half-open integer domain [a, b)."""
 
     __slots__ = ("a", "b")
@@ -205,23 +216,6 @@ class Domain:
             raise ValueError(f"domain [{a}, {b}) requires a < b")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Domain is immutable")
-
-    def __reduce__(self):
-        return (Domain, (self.a, self.b))
-
-    def __eq__(self, other) -> bool:
-        if type(other) is Domain:
-            return self.a == other.a and self.b == other.b
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __repr__(self) -> str:
-        return f"Domain(a={self.a!r}, b={self.b!r})"
 
     @property
     def length(self) -> int:
@@ -253,7 +247,7 @@ def contained_in(i: UnitInterval, d: Domain) -> bool:
     return left.num >= d.a * left.den and left.num + left.den < d.b * left.den
 
 
-class IndependentSet:
+class IndependentSet(_Value):
     """A pairwise-independent set of unit intervals, sorted by left endpoint.
 
     Construction validates independence; for unit intervals sorted by left
@@ -269,28 +263,11 @@ class IndependentSet:
                 raise ValueError(f"intervals {prev} and {cur} intersect")
         object.__setattr__(self, "intervals", tuple(items))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IndependentSet is immutable")
-
-    def __reduce__(self):
-        return (IndependentSet, (list(self.intervals),))
-
     def __len__(self) -> int:
         return len(self.intervals)
 
     def __iter__(self):
         return iter(self.intervals)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, IndependentSet):
-            return [iv.left for iv in self] == [iv.left for iv in other]
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(iv.left for iv in self.intervals))
-
-    def __repr__(self) -> str:
-        return f"IndependentSet({', '.join(str(iv) for iv in self)})"
 
 
 def max_independent_set(intervals: Sequence[UnitInterval]) -> IndependentSet:

@@ -2,16 +2,15 @@
 
 Trials are independent: trial k draws all of its randomness from
 ``derive(seed, k + 1)`` (index 0 is reserved for instance generation), so
-results do not depend on execution order or worker count.  A block of
-trials returns the count of trials per output size; ``rng.map_trials``
-merges blocks by adding counts, which is exact, and the summary statistics
-are read off the merged histogram.
+results do not depend on execution order or worker count.  A trial
+returns its output size; ``rng.map_trials`` counts the trials per size,
+merging blocks of trials by adding counts, which is exact, and the summary
+statistics are read off the merged histogram.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -182,14 +181,6 @@ def instance_from_spec(spec: InstanceSpec) -> list[UnitInterval]:
     raise ValueError(f"unknown instance kind {spec.kind!r}")
 
 
-def _run_algorithm(name: AlgorithmName, delta: int, stream) -> IndependentSet:
-    if name == "restricted":
-        return run_restricted(delta, stream).output
-    if name == "windowed":
-        return run_windowed(delta, stream)
-    raise ValueError(f"unknown algorithm {name!r}")
-
-
 def _validate_output(output: IndependentSet, ceiling: int) -> int:
     # IndependentSet construction already proved pairwise independence.
     size = len(output)
@@ -198,22 +189,23 @@ def _validate_output(output: IndependentSet, ceiling: int) -> int:
     return size
 
 
-def _trial_block(
+def _trial(
     intervals: list[UnitInterval],
     ceiling: int,
     delta: int,
     seed: int,
     algorithm: AlgorithmName,
-    start: int,
-    stop: int,
-) -> Counter:
-    """Count of trials per output size over a trial range."""
-    sizes = Counter()
-    for k in range(start, stop):
-        order = fisher_yates(intervals, derive(seed, k + 1))
-        output = _run_algorithm(algorithm, delta, order)
-        sizes[_validate_output(output, ceiling)] += 1
-    return sizes
+    k: int,
+) -> int:
+    """Output size of trial k: the algorithm on the k-th uniform order."""
+    order = fisher_yates(intervals, derive(seed, k + 1))
+    if algorithm == "restricted":
+        output = run_restricted(delta, order).output
+    elif algorithm == "windowed":
+        output = run_windowed(delta, order)
+    else:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return _validate_output(output, ceiling)
 
 
 def monte_carlo(
@@ -231,11 +223,11 @@ def monte_carlo(
     if trials < 1:
         raise ValueError("need at least one trial")
 
-    # Built once: a bad spec fails before any trial, and all blocks share it.
+    # Built once: a bad spec fails before any trial, and all trials share it.
     intervals = instance_from_spec(spec)
     a = alpha(intervals)
-    block_args = (intervals, a, spec.delta, spec.seed, algorithm)
-    sizes = map_trials(_trial_block, block_args, trials, threads)
+    trial_args = (intervals, a, spec.delta, spec.seed, algorithm)
+    sizes = map_trials(_trial, trial_args, trials, threads)
     count = sum(sizes.values())
     total = sum(size * n for size, n in sizes.items())
     total_sq = sum(size * size * n for size, n in sizes.items())

@@ -8,7 +8,8 @@ Substreams are derived, not advanced: ``derive(seed, k)`` seeds a fresh
 generator from mix64(seed XOR mix64(k + 1)), so trial k's randomness is a
 pure function of (seed, k) and independent of evaluation order.
 ``map_trials`` relies on exactly that to split a run into blocks of trials
-and evaluate them on any number of worker processes.
+and evaluate them on any number of worker processes; it holds the one loop
+over trials, and callers give it a function of one trial.
 """
 
 from __future__ import annotations
@@ -59,32 +60,37 @@ def derive(seed: int, index: int) -> SplitMix64:
     return SplitMix64(mix64((seed & MASK64) ^ mix64(index + 1)))
 
 
-def map_trials(block, args: tuple, n: int, threads: int) -> Counter:
-    """Outcome counts of trials 0..n-1, summed over blocks of trials.
+def _count(trial, args: tuple, start: int, stop: int) -> Counter:
+    """Counts of the outcomes ``trial(*args, k)`` for k in start..stop-1."""
+    return Counter(trial(*args, k) for k in range(start, stop))
 
-    ``block(*args, start, stop)`` must return a Counter of the outcomes of
-    trials start..stop-1, each drawn only from its own ``derive`` substream,
-    so that every split of the range gives the same total.  Runs in this
-    process when ``threads <= 1`` or ``n < 4``.  Otherwise trial 0 runs here
-    first, so an error every trial shares (a grid over budget) is raised
-    before a pool starts; trials 1..n-1 are split into about
-    ``4 * threads`` blocks and mapped over a process pool of
-    min(threads, blocks, CPU count) workers, which needs ``block`` and
-    ``args`` to be picklable.  The pool module, and ``multiprocessing`` with
-    it, is imported only here, so a serial run never loads it.
+
+def map_trials(trial, args: tuple, n: int, threads: int) -> Counter:
+    """Counts of the outcomes ``trial(*args, k)`` for k = 0..n-1.
+
+    Each trial must draw only from its own ``derive`` substream and return
+    a hashable outcome, so that every split of the range into blocks gives
+    the same total.  Runs in this process when ``threads <= 1`` or
+    ``n < 4``.  Otherwise trial 0 runs here first, so an error every trial
+    shares (a grid over budget) is raised before a pool starts; trials
+    1..n-1 are split into about ``4 * threads`` blocks, each counted by
+    ``_count`` in a process pool of min(threads, blocks, CPU count)
+    workers, which needs ``trial`` and ``args`` to be picklable.  The pool
+    module, and ``multiprocessing`` with it, is imported only here, so a
+    serial run never loads it.
     """
     if threads <= 1 or n < 4:
-        return block(*args, 0, n)
-    first = block(*args, 0, 1)
+        return _count(trial, args, 0, n)
+    first = _count(trial, args, 0, 1)
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = -(-(n - 1) // (threads * 4))
     starts = range(1, n, chunk)
     stops = [min(s + chunk, n) for s in starts]
-    columns = [[arg] * len(starts) for arg in args]
-    workers = min(threads, len(starts), os.cpu_count() or 1)
+    m = len(starts)
+    workers = min(threads, m, os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(block, *columns, starts, stops), first)
+        return sum(pool.map(_count, [trial] * m, [args] * m, starts, stops), first)
 
 
 def fisher_yates(items, rng: SplitMix64) -> list:

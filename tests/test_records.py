@@ -6,7 +6,12 @@ import pickle
 import pytest
 
 from intervalsel.gadget import random_gadget, simulate_protocol, verify
-from intervalsel.geometry import Domain, Scalar, UnitInterval
+from intervalsel.geometry import (
+    Domain,
+    Scalar,
+    UnitInterval,
+    max_independent_set,
+)
 from intervalsel.harness import (
     InstanceSpec,
     TrialSummary,
@@ -22,7 +27,9 @@ from intervalsel.windows import WindowMap
 SEED = 20260810
 
 RECORD_NAMES = [
+    "Scalar",
     "UnitInterval",
+    "IndependentSet",
     "Domain",
     "RunReport",
     "WindowReport",
@@ -40,7 +47,7 @@ RECORD_NAMES = [
 
 
 def fields(record):
-    """Field names: a NamedTuple's, or the slots of UnitInterval and Domain."""
+    """Field names: a NamedTuple's, or the slots of a geometry value type."""
     return getattr(record, "_fields", None) or type(record).__slots__
 
 
@@ -56,7 +63,9 @@ def records():
     table = build_out_table(6)
     curve = sweep(3, 5, table)
     return {
+        "Scalar": half.left,
         "UnitInterval": half,
+        "IndependentSet": max_independent_set([half, UnitInterval(Scalar(5, 2))]),
         "Domain": Domain(0, 3),
         "RunReport": run_restricted(4, [half, UnitInterval(Scalar(2))]),
         "WindowReport": windows.window_reports()[0],
@@ -131,7 +140,16 @@ class TestTrialSummary:
 
 
 @pytest.mark.parametrize(
-    "name", ["InstanceSpec", "UnitInterval", "RunReport", "Domain", "TrialSummary"]
+    "name",
+    [
+        "InstanceSpec",
+        "Scalar",
+        "UnitInterval",
+        "IndependentSet",
+        "RunReport",
+        "Domain",
+        "TrialSummary",
+    ],
 )
 def test_pickle_round_trip(records, name):
     # InstanceSpec crosses the process pool of monte_carlo
@@ -139,3 +157,4 @@ def test_pickle_round_trip(records, name):
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is type(record)
     assert copy == record
+    assert hash(copy) == hash(record)

@@ -8,6 +8,7 @@ import pytest
 from intervalsel import recurrence
 from intervalsel.cli import _fmt
 from intervalsel.geometry import alpha
+from intervalsel.harness import exhaustive_expectation
 from intervalsel.recurrence import (
     DEFAULT_EXACT_UNTIL,
     DELTA5_NOTE,
@@ -255,3 +256,27 @@ class TestCrossValidation:
             len(run_restricted(7, order).output) for order in permutations(instance)
         )
         assert Fraction(total, 120) == 4
+
+    @pytest.mark.parametrize(
+        "floors, mean",
+        [
+            ((0, 1, 2, 3, 4), Fraction(4)),
+            ((0, 1, 2, 3, 5), Fraction(13, 3)),
+            ((0, 1, 2, 4, 5), Fraction(53, 12)),
+            ((0, 1, 3, 4, 5), Fraction(53, 12)),
+            ((0, 2, 3, 4, 5), Fraction(13, 3)),
+            ((1, 2, 3, 4, 5), Fraction(4)),
+        ],
+    )
+    def test_alpha_five_gap_words_at_delta_seven(self, floors, mean):
+        # A split point separates neighbouring optimal intervals iff their
+        # floors differ by at least 2, so on an independent instance the
+        # run depends on the gap word of the floors.  Of the six 5-subsets
+        # of {0, ..., 5}, only the two consecutive ones, with no free split
+        # point, fall below out_lb(5) = 62/15; one free gap anywhere meets it.
+        instance = [u(f + Fraction(j + 1, 7)) for j, f in enumerate(floors)]
+        assert alpha(instance) == 5
+        assert exhaustive_expectation(instance, 7) == mean
+        consecutive = floors == tuple(range(floors[0], floors[0] + 5))
+        assert (mean < out_lb(5)) == consecutive
+        assert out_lb(5) == Fraction(62, 15)
