@@ -10,6 +10,12 @@ Exit status: 0 on success; 1 when the input cannot be read, decoded or
 parsed, lies outside the domain, a run exceeds the grid-cell budget of
 ``restricted`` or memory runs out, or a verification or data check fails;
 2 on usage errors.  ``dispatch`` alone maps exceptions to these codes.
+
+Each handler imports the modules it runs, so a run compiles and loads only
+those: ``dp`` loads ``recurrence``; ``run`` loads ``restricted``, and
+``windows`` with --unrestricted; ``gadget`` loads ``gadget``; ``montecarlo``
+and ``substream-test`` load ``harness``.  ``geometry`` declares the errors
+``dispatch`` maps, so every run loads it.
 """
 
 from __future__ import annotations
@@ -22,11 +28,15 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import gadget as gadget_mod
-from . import harness, recurrence, windows
-from .geometry import ParseError, alpha, format_intervals, parse_intervals
-from .restricted import Domain, DomainError, run_on_stream
-from .rng import SplitMix64, fisher_yates
+from .geometry import (
+    CheckError,
+    Domain,
+    DomainError,
+    ParseError,
+    alpha,
+    format_intervals,
+    parse_intervals,
+)
 
 SIGNIFICANT_DIGITS = 12
 ERROR_PATH_RESERVE_BYTES = 1 << 20
@@ -73,6 +83,11 @@ def _resolve_seed(seed: int | None) -> int:
     return int.from_bytes(os.urandom(8), "big") >> 1
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {threads}")
+
+
 def _read_intervals(path: str):
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
     return parse_intervals(text)
@@ -89,6 +104,8 @@ def _add_dp(sub) -> None:
 
 
 def _cmd_dp(args) -> int:
+    from . import recurrence
+
     if (args.delta is None) == (args.sweep is None):
         raise UsageError("give exactly one of --delta or --sweep")
     if args.sweep is not None:
@@ -123,6 +140,18 @@ def _cmd_dp(args) -> int:
     curve = recurrence.sweep(lo, hi, table=table)
     for note in curve.notes:
         print("note:", note, file=sys.stderr)
+    tight = [row.delta for row in curve.rows if row.binding_alpha == row.delta - 1 >= 5]
+    if tight:
+        where = f"delta {tight[0]}"
+        if len(tight) > 1:
+            where = f"{len(tight)} deltas in {tight[0]}..{tight[-1]}"
+        print(
+            f"note: binding alpha is delta - 1 >= 5 at {where}: the factor rests on "
+            "out_lb(alpha) at the tightest packing, whose consecutive floors give "
+            "the split-point rule an exact mean below out_lb(alpha) "
+            "(README, Certified factors, honestly)",
+            file=sys.stderr,
+        )
     if not curve.overall_monotone:
         print(
             "warning: overall factor decreased at deltas",
@@ -176,6 +205,9 @@ def _add_run(sub) -> None:
 
 
 def _cmd_run(args) -> int:
+    from .restricted import run_on_stream
+    from .rng import SplitMix64, fisher_yates
+
     if args.unrestricted == bool(args.domain):
         raise UsageError("give exactly one of --domain A,B or --unrestricted")
     if args.unrestricted and args.delta is None:
@@ -197,6 +229,8 @@ def _cmd_run(args) -> int:
     if args.unrestricted:
         config.update({"mode": "unrestricted", "delta": args.delta})
         _echo_config(config)
+        from . import windows
+
         wm = windows.WindowMap(args.delta)
         for iv in stream:
             wm.feed(iv)
@@ -260,6 +294,9 @@ def _add_montecarlo(sub) -> None:
 
 
 def _cmd_montecarlo(args) -> int:
+    from . import harness
+
+    _check_threads(args.threads)
     seed = _resolve_seed(args.seed)
     spec = harness.InstanceSpec(
         kind=args.kind,
@@ -272,8 +309,21 @@ def _cmd_montecarlo(args) -> int:
         aligned=args.aligned,
     )
     _echo_config(_options(args, seed))
+    intervals = harness.instance_from_spec(spec)
+    if len(intervals) >= 5 and harness.consecutive_floor_packing(intervals):
+        print(
+            f"note: the {len(intervals)} intervals are independent on consecutive "
+            "floors, where from alpha 5 on the split-point rule's exact mean is "
+            "below out_lb(alpha): predicted_bound need not be met "
+            "(README, Certified factors, honestly)",
+            file=sys.stderr,
+        )
     summary = harness.monte_carlo(
-        spec, args.trials, algorithm=args.algorithm, threads=args.threads
+        spec,
+        args.trials,
+        algorithm=args.algorithm,
+        threads=args.threads,
+        intervals=intervals,
     )
     if args.format == "csv":
         fields = summary.to_dict()
@@ -319,12 +369,17 @@ def _parse_bits(hex_text: str | None, t: int, rng) -> tuple[int, ...]:
 
 
 def _cmd_gadget(args) -> int:
+    from . import gadget as gadget_mod
+
     if args.verify == args.simulate:
         raise UsageError("give exactly one of --verify or --simulate")
+    _check_threads(args.threads)
     gadget_mod.check_t(args.t)  # before any bit is drawn
     seed = _resolve_seed(args.seed)
 
     if args.verify:
+        from .rng import SplitMix64
+
         rng = SplitMix64(seed)
         xbits = _parse_bits(args.xbits, args.t, rng)
         index = args.index if args.index is not None else rng.below(args.t)
@@ -380,6 +435,8 @@ def _add_substream(sub) -> None:
 
 
 def _cmd_substream(args) -> int:
+    from . import harness
+
     seed = _resolve_seed(args.seed)
     _echo_config(_options(args, seed))
     report = harness.substream_monotonicity_test(args.trials, seed)
@@ -448,8 +505,7 @@ def dispatch(argv) -> int:
         DomainError,
         OSError,
         UnicodeError,
-        harness.ValidationError,
-        gadget_mod.GadgetInvariantError,
+        CheckError,
     ) as exc:
         del reserve
         code, message = 1, f"error: {str(exc) or type(exc).__name__}"

@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .geometry import (
+    CheckError,
     IndependentSet,
     Scalar,
     UnitInterval,
@@ -54,7 +55,7 @@ MAX_T = 46_341
 Algorithm = Callable[[Sequence[UnitInterval]], IndependentSet]
 
 
-class GadgetInvariantError(RuntimeError):
+class GadgetInvariantError(CheckError):
     """A structural property of the construction failed; names the property."""
 
 

@@ -29,6 +29,19 @@ class ParseError(ValueError):
     """Malformed coordinate or interval text."""
 
 
+class DomainError(ValueError):
+    """An interval was fed to an instance whose domain does not contain it."""
+
+
+class CheckError(RuntimeError):
+    """A hard check of an algorithm's output or of a construction failed.
+
+    Base of ``harness.ValidationError`` and ``gadget.GadgetInvariantError``,
+    declared here so that the CLI can map both to exit 1 without importing
+    either module.
+    """
+
+
 # Bounds on coordinate text.  Inside them the largest integer Fraction can
 # build has about 2,000 digits, which is cheap to build and to print; a
 # coordinate in the 64-bit range needs far fewer.

@@ -6,6 +6,9 @@ results do not depend on execution order or worker count.  A trial
 returns its output size; ``rng.map_trials`` counts the trials per size,
 merging blocks of trials by adding counts, which is exact, and the summary
 statistics are read off the merged histogram.
+
+``gadget`` is imported only to build a gadget instance and ``windows`` only
+for a windowed trial, so a run loads neither unless it uses it.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from itertools import permutations
 from pathlib import Path
 from typing import Literal, NamedTuple, Sequence
 
-from . import gadget as gadget_mod
 from .geometry import (
+    CheckError,
     IndependentSet,
     Scalar,
     UnitInterval,
@@ -27,7 +30,6 @@ from .geometry import (
 from .recurrence import out_lb
 from .restricted import run_restricted
 from .rng import SplitMix64, derive, fisher_yates, map_trials
-from .windows import run_windowed
 
 MAX_EXHAUSTIVE = 8
 DEFAULT_JITTER_DENOMINATOR = 1 << 20
@@ -42,7 +44,7 @@ MAX_GADGET_T = 38_967
 AlgorithmName = Literal["restricted", "windowed"]
 
 
-class ValidationError(RuntimeError):
+class ValidationError(CheckError):
     """An algorithm output failed a hard check (independence or the alpha ceiling)."""
 
 
@@ -172,7 +174,9 @@ def instance_from_spec(spec: InstanceSpec) -> list[UnitInterval]:
         # Shift right so the construction fits [0, delta); width just above 4.
         if spec.delta < 5:
             raise ValueError("gadget instances need delta >= 5")
-        g = gadget_mod.random_gadget(spec.t, derive(spec.seed, 0))
+        from .gadget import random_gadget
+
+        g = random_gadget(spec.t, derive(spec.seed, 0))
         return [iv.translate(2) for iv in g.stream]
     if spec.kind == "custom-file":
         if spec.path is None:
@@ -202,10 +206,21 @@ def _trial(
     if algorithm == "restricted":
         output = run_restricted(delta, order).output
     elif algorithm == "windowed":
+        from .windows import run_windowed
+
         output = run_windowed(delta, order)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     return _validate_output(output, ceiling)
+
+
+def consecutive_floor_packing(intervals: Sequence[UnitInterval]) -> bool:
+    """Whether the intervals are pairwise independent and the floors of their
+    left ends are consecutive integers: the placement where the split-point
+    rule's exact mean falls below out_lb(alpha) from alpha 5 on."""
+    floors = sorted(iv.left.num // iv.left.den for iv in intervals)
+    consecutive = all(f + 1 == g for f, g in zip(floors, floors[1:]))
+    return consecutive and alpha(intervals) == len(intervals)
 
 
 def monte_carlo(
@@ -213,18 +228,21 @@ def monte_carlo(
     trials: int,
     algorithm: AlgorithmName = "restricted",
     threads: int = 1,
+    intervals: Sequence[UnitInterval] | None = None,
 ) -> TrialSummary:
     """Run the chosen algorithm on fresh uniform orders of one fixed instance.
 
     Reports mean and dispersion of the output size, the oracle's alpha, and
     the certified lower bound out_lb(alpha) for comparison.  The prediction
-    check is one-sided: mean >= bound - 3 * stderr.
+    check is one-sided: mean >= bound - 3 * stderr.  ``intervals`` is the
+    instance ``spec`` builds, for a caller that already built it.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
 
     # Built once: a bad spec fails before any trial, and all trials share it.
-    intervals = instance_from_spec(spec)
+    if intervals is None:
+        intervals = instance_from_spec(spec)
     a = alpha(intervals)
     trial_args = (intervals, a, spec.delta, spec.seed, algorithm)
     sizes = map_trials(_trial, trial_args, trials, threads)

@@ -119,6 +119,11 @@ def _exact_lane(x_max: int) -> list[Fraction]:
     return [Fraction(v, scale) for v in lb[:-1]]
 
 
+def _aligned(a: np.ndarray, boundary: int) -> np.ndarray:
+    """The view of ``a`` from its first element on a ``boundary``-byte address."""
+    return a[(-a.ctypes.data % boundary) // a.itemsize :]
+
+
 def _float_lane(x_max: int) -> np.ndarray:
     # Half-length form of the sum (module docstring):
     #   sum_j max(a_j, a_{x-1-j}) = sum_j a_j + sum_{j < x//2} |a_j - a_{x-1-j}|
@@ -128,15 +133,25 @@ def _float_lane(x_max: int) -> np.ndarray:
     # drifts to ~8e-16 relative error by x = 1200, against ~3e-16, and moves
     # printed digits of `dp --sweep 2..3000`.  r mirrors d (r[x_max-k] = d[k]),
     # so d[x-1-j] for j < x//2 is the contiguous slice r[x_max+1-x:].
+    # d and r are cut from one array, each starting on a 4096-byte page, and
+    # buf starts on a 64-byte cache line, because the loop's speed depends on
+    # that alignment: at x_max 21999 on a 2-CPU x86 machine it took about
+    # 0.22 s with all three on cache lines and 0.29 s with each 16 bytes past
+    # one, where the allocator may place them.  Where buf lies relative to d
+    # and r made no measurable difference, and a small heap block reuses
+    # resident pages, so buf is allocated on its own.
     import numpy as np
 
-    v = np.zeros(x_max + 1, dtype=np.float64)
-    d = np.zeros(x_max + 1, dtype=np.float64)
-    base = (0.0, 1.0, 2.0)[: x_max + 1]
+    n = x_max + 1
+    span = -(-n // 512) * 512  # whole 4096-byte pages of float64
+    work = _aligned(np.zeros(2 * span + 512, dtype=np.float64), 4096)
+    d, r = work[:n], work[span : span + n]
+    buf = _aligned(np.empty(x_max // 2 + 9, dtype=np.float64), 64)
+    v = np.zeros(n, dtype=np.float64)
+    base = (0.0, 1.0, 2.0)[:n]
     v[: len(base)] = base
     d[1 : len(base)] = np.diff(base)
-    r = d[::-1].copy()
-    buf = np.empty(x_max // 2 + 1, dtype=np.float64)
+    r[:] = d[::-1]
     prefix, carry = 1.0, 0.0  # P(x-2) at x = 3, compensation
     prev = 2.0  # v[x-1]
     for x in range(3, x_max + 1):

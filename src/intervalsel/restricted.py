@@ -75,14 +75,10 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .geometry import Domain, IndependentSet, UnitInterval, contained_in
+from .geometry import Domain, DomainError, IndependentSet, UnitInterval, contained_in
 
 RIGHT_CANDIDATE = "right-candidate"
 LEFT_CANDIDATE = "left-candidate"
-
-
-class DomainError(ValueError):
-    """An interval was fed to an instance whose domain does not contain it."""
 
 
 MAX_GRID_CELLS = 1 << 25
@@ -227,6 +223,11 @@ def _fill(grid: list, a0: int, b0: int) -> None:
                 _fill(s.cr, a, b)
             if s.cl is not None:
                 _fill(s.cl, a, b)
+            if b == a + 2:
+                # no unit interval fits either length-1 child of [a, a + 2)
+                s.size, s.point, s.side = 0, a + 1, RIGHT_CANDIDATE
+                s.nodes, s.stored = 1, 0
+                continue
             col = b - a0  # grid[(i - a0) * w + col] is the state on [i, b)
             best, point, side = 0, a + 1, RIGHT_CANDIDATE
             nodes, stored = 1, 0

@@ -226,6 +226,77 @@ class TestDispatch:
         assert json.loads(proc.stdout.splitlines()[-1]) == [0, loads_numpy]
 
     @pytest.mark.parametrize(
+        "args,modules",
+        [
+            (["run", "--unrestricted", "--delta", "5", "--input", "{path}",
+              "--order", "shuffle", "--seed", "1"],
+             "geometry restricted rng windows"),
+            (["run", "--domain", "0,6", "--input", "{path}"], "geometry restricted rng"),
+            (["gadget", "--t", "6", "--simulate", "--algorithm", "windowed:6",
+              "--samples", "20", "--seed", "1", "--threads", "1"],
+             "gadget geometry restricted rng windows"),
+            (["gadget", "--t", "6", "--verify", "--seed", "1"],
+             "gadget geometry restricted rng windows"),
+            (["montecarlo", "--alpha", "6", "--delta", "7", "--trials", "4",
+              "--seed", "1", "--threads", "1"],
+             "geometry harness recurrence restricted rng"),
+            (["montecarlo", "--alpha", "6", "--delta", "7", "--trials", "4",
+              "--seed", "1", "--threads", "1", "--algorithm", "windowed"],
+             "geometry harness recurrence restricted rng windows"),
+            (["montecarlo", "--kind", "gadget", "--t", "3", "--delta", "5",
+              "--trials", "4", "--seed", "1", "--threads", "1"],
+             "gadget geometry harness recurrence restricted rng windows"),
+            (["substream-test", "--trials", "2", "--seed", "7"],
+             "geometry harness recurrence restricted rng"),
+            (["dp", "--delta", "70"], "geometry recurrence"),
+        ],
+    )
+    def test_each_subcommand_loads_only_its_modules(self, args, modules, tmp_path):
+        path = tmp_path / "stream.txt"
+        path.write_text("0\n3/2\n7/2\n4\n")
+        args = [a.format(path=path) for a in args]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from intervalsel.cli import dispatch\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = dispatch({args!r})\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('intervalsel.'))\n"
+            "print(json.dumps([code, loaded]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        expected = sorted(f"intervalsel.{m}" for m in ["cli", *modules.split()])
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, expected]
+
+    @pytest.mark.parametrize(
+        "module,error",
+        [("harness", "ValidationError"), ("gadget", "GadgetInvariantError")],
+    )
+    def test_check_errors_exit_one_without_their_modules_loaded(self, module, error):
+        # dispatch maps both to exit 1 through their base in geometry, so it
+        # needs neither module loaded before a handler raises
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from intervalsel import cli\n"
+            "def handler(args):\n"
+            f"    before = 'intervalsel.{module}' in sys.modules\n"
+            f"    from intervalsel.{module} import {error}\n"
+            f"    raise {error}(f'loaded before: {{before}}')\n"
+            "cli._COMMANDS['dp'] = handler\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            "    code = cli.dispatch(['dp', '--delta', '4'])\n"
+            "print(json.dumps([code, err.getvalue()]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert json.loads(proc.stdout.splitlines()[-1]) == [
+            1, "error: loaded before: False\n"
+        ]
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["dp", "--delta", "4", "--exact-until", "64"],
@@ -261,6 +332,29 @@ class TestDp:
         assert code == 0
         assert out.strip().splitlines()[1].split(",")[2] == "0.666666666667"
         assert "delta=5" in err and "2/3" in err
+
+    @pytest.mark.parametrize(
+        "args,where",
+        [
+            (["--delta", "6"], "at delta 6:"),
+            (["--sweep", "2..9"], "at 4 deltas in 6..9:"),
+            (["--sweep", "2..9", "--format", "json"], "at 4 deltas in 6..9:"),
+            (["--delta", "5"], None),
+            (["--sweep", "2..5"], None),
+        ],
+    )
+    def test_tight_binding_alpha_note_on_stderr_only(self, args, where, capsys):
+        code, out, err = run_cli(["dp", *args], capsys)
+        assert code == 0
+        notes = [
+            line for line in err.splitlines()
+            if line.startswith("note: binding alpha is delta - 1 >= 5")
+        ]
+        if where is None:
+            assert notes == []
+        else:
+            assert len(notes) == 1 and where in notes[0]
+        assert "binding alpha" not in out
 
     def test_sweep_row_count(self, capsys):
         code, out, _ = run_cli(["dp", "--sweep", "2..100"], capsys)
@@ -446,6 +540,62 @@ class TestMonteCarlo:
         assert payload["mean"] == 2.0
         assert payload["alpha"] == 2
         assert json.loads(err.split("config:", 1)[1])["seed"] == int(SEED)
+
+    @pytest.mark.parametrize(
+        "lefts,noted",
+        [
+            # alpha 5 on the floors 0..4
+            ("0\n11/10\n11/5\n33/10\n22/5\n", True),
+            # alpha 4 on consecutive floors meets out_lb
+            ("0\n11/10\n11/5\n33/10\n", False),
+            # alpha 5 with one free split point (floors 0 1 2 3 5)
+            ("0\n11/10\n11/5\n33/10\n5\n", False),
+            # consecutive floors, but not independent
+            ("0\n11/10\n2\n33/10\n22/5\n", False),
+        ],
+    )
+    def test_consecutive_floor_note(self, lefts, noted, tmp_path, capsys):
+        path = tmp_path / "instance.txt"
+        path.write_text(lefts)
+        code, out, err = run_cli(
+            [
+                "montecarlo", "--kind", "custom-file", "--input", str(path),
+                "--delta", "7", "--trials", "3", "--seed", SEED, "--threads", "1",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["trials"] == 3
+        note = "note: the 5 intervals are independent on consecutive floors"
+        assert (note in err) == noted
+
+    def test_tight_independent_instance_is_noted(self, capsys):
+        code, _, err = run_cli(
+            [
+                "montecarlo", "--alpha", "6", "--delta", "7", "--trials", "3",
+                "--seed", SEED, "--threads", "1",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert "note: the 6 intervals are independent on consecutive floors" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["montecarlo", "--alpha", "2", "--delta", "4", "--trials", "8"],
+            ["gadget", "--t", "4", "--simulate", "--samples", "8"],
+        ],
+    )
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_thread_count_below_one_is_refused(self, command, threads, capsys):
+        code, out, err = run_cli([*command, "--seed", SEED, "--threads", threads], capsys)
+        assert code == 2
+        assert out == ""
+        assert "config:" not in err
+        assert err.splitlines()[-1] == (
+            f"usage error: --threads must be at least 1, got {threads}"
+        )
 
     def test_csv_report(self, capsys):
         code, out, _ = run_cli(
