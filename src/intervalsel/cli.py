@@ -14,7 +14,8 @@ parsed, lies outside the domain, a run exceeds the grid-cell budget of
 Each handler imports the modules it runs, so a run compiles and loads only
 those: ``dp`` loads ``recurrence``; ``run`` loads ``restricted``, and
 ``windows`` with --unrestricted; ``gadget`` loads ``gadget``; ``montecarlo``
-and ``substream-test`` load ``harness``.  ``geometry`` declares the errors
+and ``substream-test`` load ``harness``, which brings ``gadget`` and
+``windows``.  ``geometry`` declares the errors
 ``dispatch`` maps, so every run loads it.
 """
 

@@ -6,9 +6,6 @@ results do not depend on execution order or worker count.  A trial
 returns its output size; ``rng.map_trials`` counts the trials per size,
 merging blocks of trials by adding counts, which is exact, and the summary
 statistics are read off the merged histogram.
-
-``gadget`` is imported only to build a gadget instance and ``windows`` only
-for a windowed trial, so a run loads neither unless it uses it.
 """
 
 from __future__ import annotations
@@ -19,6 +16,11 @@ from itertools import permutations
 from pathlib import Path
 from typing import Literal, NamedTuple, Sequence
 
+# gadget and windows load with harness although a restricted run on a
+# custom instance uses neither: bench/probe.py loads every module, and a
+# montecarlo run that loads less than the probe shrinks the window that
+# mc-restricted's items_per_s divides by (ROADMAP item 3).
+from . import gadget as gadget_mod
 from .geometry import (
     CheckError,
     IndependentSet,
@@ -30,6 +32,7 @@ from .geometry import (
 from .recurrence import out_lb
 from .restricted import run_restricted
 from .rng import SplitMix64, derive, fisher_yates, map_trials
+from .windows import run_windowed
 
 MAX_EXHAUSTIVE = 8
 DEFAULT_JITTER_DENOMINATOR = 1 << 20
@@ -174,9 +177,7 @@ def instance_from_spec(spec: InstanceSpec) -> list[UnitInterval]:
         # Shift right so the construction fits [0, delta); width just above 4.
         if spec.delta < 5:
             raise ValueError("gadget instances need delta >= 5")
-        from .gadget import random_gadget
-
-        g = random_gadget(spec.t, derive(spec.seed, 0))
+        g = gadget_mod.random_gadget(spec.t, derive(spec.seed, 0))
         return [iv.translate(2) for iv in g.stream]
     if spec.kind == "custom-file":
         if spec.path is None:
@@ -206,8 +207,6 @@ def _trial(
     if algorithm == "restricted":
         output = run_restricted(delta, order).output
     elif algorithm == "windowed":
-        from .windows import run_windowed
-
         output = run_windowed(delta, order)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -239,15 +239,9 @@ class TestDispatch:
              "gadget geometry restricted rng windows"),
             (["montecarlo", "--alpha", "6", "--delta", "7", "--trials", "4",
               "--seed", "1", "--threads", "1"],
-             "geometry harness recurrence restricted rng"),
-            (["montecarlo", "--alpha", "6", "--delta", "7", "--trials", "4",
-              "--seed", "1", "--threads", "1", "--algorithm", "windowed"],
-             "geometry harness recurrence restricted rng windows"),
-            (["montecarlo", "--kind", "gadget", "--t", "3", "--delta", "5",
-              "--trials", "4", "--seed", "1", "--threads", "1"],
              "gadget geometry harness recurrence restricted rng windows"),
             (["substream-test", "--trials", "2", "--seed", "7"],
-             "geometry harness recurrence restricted rng"),
+             "gadget geometry harness recurrence restricted rng windows"),
             (["dp", "--delta", "70"], "geometry recurrence"),
         ],
     )
