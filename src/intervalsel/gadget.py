@@ -42,7 +42,6 @@ from .geometry import (
     max_independent_set,
 )
 from .rng import SplitMix64, derive, fisher_yates, map_trials
-from .windows import run_windowed
 
 MIN_T = 3
 # The largest coordinate built is the left end of J_R at A = t - 1,
@@ -94,15 +93,6 @@ class GadgetInstance(NamedTuple):
     def alice_built_target(self) -> bool:
         """True iff the target interval arrives before both wings."""
         return self.target_position < self.first_wing_position
-
-    @property
-    def encoded_bits(self) -> tuple[int, ...]:
-        """The bit actually baked into each clique interval."""
-        j = self.first_wing_position
-        return tuple(
-            self.alice_bits[i] if self.clique_positions[i] < j else self.public_bits[i]
-            for i in range(self.t)
-        )
 
     @property
     def stream(self) -> tuple[UnitInterval, ...]:
@@ -340,6 +330,8 @@ def resolve_algorithm(name: str) -> Algorithm:
             ) from None
         if delta < 2:  # refused here, before a sample or a pool starts
             raise ValueError("delta must be at least 2")
+        from .windows import run_windowed
+
         return lambda stream: run_windowed(delta, stream)
     raise ValueError(f"unknown algorithm {name!r}")
 

@@ -230,13 +230,6 @@ class Domain(_Value):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def length(self) -> int:
-        return self.b - self.a
-
-    def split_points(self) -> range:
-        return range(self.a + 1, self.b)
-
     def __str__(self) -> str:
         return f"[{self.a}, {self.b})"
 

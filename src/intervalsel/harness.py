@@ -122,6 +122,8 @@ def gen_independent(
     non-integral unless ``aligned`` asks for integer positions (which only
     pack up to alpha <= delta // 2).
     """
+    if delta < 2:
+        raise ValueError("delta must be at least 2")
     if not 1 <= alpha_target <= delta - 1:
         raise ValueError(f"alpha must be in [1, {delta - 1}], got {alpha_target}")
     rng = derive(seed, 0)

@@ -30,19 +30,21 @@ so its state is a function of the key ``(generator, a, b)``:
 
 Nodes with one key share one state, so the tree is a DAG of far fewer
 distinct states (hash-consing, as in the unique table of a BDD).  A
-generator on [a0, b0) is its grid: one flat list of (k + 1)**2 cells,
-k = b0 - a0, that holds its states by domain.  The generator
-``("R", g, i, b)`` hangs off the state ``(g, i, b)``, which is unique in
-g's grid.  The slot R_i of every node ``(g, a, b)`` is the left-most
-interval ever fed to T_R(i) = ``(g, i, b)``, and L_i the right-most fed to
-T_L(i), so a state stores four slots: those two intervals and the grids of
-its two conditional generators, both on the state's own domain.  It holds
-no reference to its generator or its domain; the feed and output passes
-carry the grid and its domain down.  An arriving interval updates each
-reachable distinct state once.  An update reads only the
-state's own fields, so only the order within a state is observable, and it
-is the tree's: slot update, then the conditional feed judged against the
-updated slot.
+generator on a domain of length k is its grid: one flat list of
+(k + 1)**2 cells that holds its states by domain, counted from the grid's
+own origin, so ``grid[a * (k + 1) + b]`` is the state on [a, b).  The
+generator ``("R", g, i, b)`` hangs off the state ``(g, i, b)``, which is
+unique in g's grid.  The slot R_i of every node ``(g, a, b)`` is the
+left-most interval ever fed to T_R(i) = ``(g, i, b)``, and L_i the
+right-most fed to T_L(i), so a state stores four slots: those two intervals
+and the grids of its two conditional generators, both on the state's own
+domain.  Neither a state nor a grid knows where its domain lies: the passes
+carry a grid and its width down, and an arriving interval's floor counted
+from the grid's origin, and only ``InstanceState`` adds its domain's left
+end back.  An arriving interval updates each reachable distinct state
+once.  An update reads only the state's own fields, so only the order
+within a state is observable, and it is the tree's: slot update, then the
+conditional feed judged against the updated slot.
 
 The end-of-stream pass visits each distinct state once and writes into
 it only sizes: the best candidate size, its split point and side, and the
@@ -115,15 +117,15 @@ class RunReport(NamedTuple):
         }
 
 
-def _new_grid(a: int, b: int, cells: list[int]) -> list[_State | None]:
-    """The empty grid of a generator on [a, b), charged to its run before allocation.
+def _new_grid(k: int, cells: list[int]) -> list[_State | None]:
+    """The empty grid of a generator on a domain of length k, charged before allocation.
 
-    With w = b - a + 1, ``grid[(x - a) * w + y - a]`` is the state on [x, y),
-    or None until an interval inside [x, y) reaches the generator; its root,
-    the state on [a, b), is at index w - 1.  ``cells`` is the one-item count
-    of grid cells the run holds.
+    With w = k + 1, ``grid[a * w + b]`` is the state on [a, b), counted from
+    the grid's origin, or None until an interval inside [a, b) reaches the
+    generator; its root, the state on [0, k), is at index k.  ``cells`` is
+    the one-item count of grid cells the run holds.
     """
-    w = b - a + 1
+    w = k + 1
     total = cells[0] + w * w
     if total > MAX_GRID_CELLS:
         raise GridBudgetError(
@@ -140,12 +142,14 @@ class _State:
     ``lo`` and ``hi`` are the left-most and right-most interval it was fed,
     which are the slots R_a and L_b of each of its tree parents.  ``cr`` and
     ``cl`` are the grids of the generators of those parents' conditional
-    children A_R(a) and A_L(b), on the state's own domain, created on their
-    first feed.  A state knows neither its generator nor its domain: the
-    passes carry both down.
+    children A_R(a) and A_L(b), on the state's own domain with their origin
+    at its left end, created on their first feed.  A state knows neither its
+    generator nor its domain: the passes carry its grid and that grid's
+    width down.
 
     ``size``, ``point``, ``side``, ``nodes`` and ``stored`` are the state's
-    end-of-stream summary, written by ``_fill`` and read only after it.
+    end-of-stream summary, written by ``_fill`` and read only after it;
+    ``point`` counts from the origin of the state's grid.
     """
 
     __slots__ = ("lo", "hi", "cr", "cl", "size", "point", "side", "nodes", "stored")
@@ -158,23 +162,23 @@ class _State:
 
 
 def _feed(
-    grid: list, a0: int, b0: int, cells: list[int],
+    grid: list, k: int, cells: list[int],
     iv: UnitInterval, num: int, den: int, fl: int,
 ) -> None:
-    """Update, once each, the states on [a0, b0) of ``grid`` that contain ``iv``.
+    """Update, once each, the states of ``grid`` (width k) that contain ``iv``.
 
-    With left endpoint x = num/den and fl = floor(x), the interval lies in
-    [a, b) iff a <= fl and b >= fl + 2; every such state exists in the tree
-    below the generator's root through pass-through children, so all of them
-    receive it.  Per state the slot update comes before the conditional feed,
-    which is judged against the updated slot.
+    The left endpoint is x = num/den, and fl is floor(x) counted from the
+    grid's origin.  The interval lies in [a, b) iff a <= fl and b >= fl + 2;
+    every such state exists in the tree below the generator's root through
+    pass-through children, so all of them receive it.  Per state the slot
+    update comes before the conditional feed, which is judged against the
+    updated slot.
     """
-    k = b0 - a0
     w = k + 1
-    for ai in range(fl - a0 + 1):
-        row = ai * w
+    for a in range(fl + 1):
+        row = a * w
         last = row + k
-        for idx in range(row + fl + 2 - a0, last + 1):
+        for idx in range(row + fl + 2, last + 1):
             s = grid[idx]
             if s is None:
                 grid[idx] = _State(iv)
@@ -183,24 +187,24 @@ def _feed(
             if num * lo.den < lo.num * den:
                 s.lo = iv
             # independent of and further right than R: x > lo + 1.  Only a
-            # state with a pass-through parent (a > a0) is someone's T_R.
-            elif ai and num * lo.den > (lo.num + lo.den) * den:
+            # state with a pass-through parent (a > 0) is someone's T_R.
+            elif a and num * lo.den > (lo.num + lo.den) * den:
                 if s.cr is None:
-                    s.cr = _new_grid(a0 + ai, a0 + idx - row, cells)
-                _feed(s.cr, a0 + ai, a0 + idx - row, cells, iv, num, den, fl)
+                    s.cr = _new_grid(idx - row - a, cells)
+                _feed(s.cr, idx - row - a, cells, iv, num, den, fl - a)
             hi = s.hi.left
             if num * hi.den > hi.num * den:
                 s.hi = iv
             # independent of and further left than L: x < hi - 1, for a
-            # state with a pass-through parent (b < b0)
+            # state with a pass-through parent (b < k)
             elif idx != last and num * hi.den < (hi.num - hi.den) * den:
                 if s.cl is None:
-                    s.cl = _new_grid(a0 + ai, a0 + idx - row, cells)
-                _feed(s.cl, a0 + ai, a0 + idx - row, cells, iv, num, den, fl)
+                    s.cl = _new_grid(idx - row - a, cells)
+                _feed(s.cl, idx - row - a, cells, iv, num, den, fl - a)
 
 
-def _fill(grid: list, a0: int, b0: int) -> None:
-    """Summarise each state of ``grid`` on [a0, b0) and of the grids below it.
+def _fill(grid: list, k: int) -> None:
+    """Summarise each state of ``grid`` (width k) and of the grids below it.
 
     A state's summary is written into its own fields: the best candidate
     size, its split point and side, and the tree nodes and occupied slots of
@@ -212,23 +216,22 @@ def _fill(grid: list, a0: int, b0: int) -> None:
     only by its parents, are filled with it; the feed that created one
     created its root.
     """
-    w = b0 - a0 + 1
-    for a in range(b0 - 2, a0 - 1, -1):
-        row = (a - a0) * w - a0  # grid[row + i] is the state on [a, i)
-        for b in range(a + 2, b0 + 1):
+    w = k + 1
+    for a in range(k - 2, -1, -1):
+        row = a * w  # grid[row + i] is the state on [a, i)
+        for b in range(a + 2, k + 1):
             s = grid[row + b]
             if s is None:
                 continue
             if s.cr is not None:
-                _fill(s.cr, a, b)
+                _fill(s.cr, b - a)
             if s.cl is not None:
-                _fill(s.cl, a, b)
+                _fill(s.cl, b - a)
             if b == a + 2:
                 # no unit interval fits either length-1 child of [a, a + 2)
                 s.size, s.point, s.side = 0, a + 1, RIGHT_CANDIDATE
                 s.nodes, s.stored = 1, 0
                 continue
-            col = b - a0  # grid[(i - a0) * w + col] is the state on [i, b)
             best, point, side = 0, a + 1, RIGHT_CANDIDATE
             nodes, stored = 1, 0
             for i in range(a + 1, b):
@@ -247,7 +250,7 @@ def _fill(grid: list, a0: int, b0: int) -> None:
                         l_size += al.size
                         nodes += al.nodes
                         stored += al.stored
-                tr = grid[(i - a0) * w + col]
+                tr = grid[i * w + b]
                 if tr is not None:
                     l_size += tr.size
                     nodes += tr.nodes
@@ -266,37 +269,36 @@ def _fill(grid: list, a0: int, b0: int) -> None:
             s.size, s.point, s.side, s.nodes, s.stored = best, point, side, nodes, stored
 
 
-def _picks(grid: list, a: int, b: int) -> list[UnitInterval]:
-    """The winning candidate of the root of the filled grid on [a, b).
+def _picks(grid: list, k: int) -> list[UnitInterval]:
+    """The winning candidate of the root of the filled grid of width k.
 
     Follows (split point, side) from the root down through the children
     that form the winning candidate, taking one slot interval per visited
     state of nonzero size.
     """
     picks: list[UnitInterval] = []
-    todo = [(grid, a, b - a + 1, a, b)]  # a grid, its origin and width, a domain
+    todo = [(grid, k + 1, 0, k)]  # a grid, its row length, a domain in it
     while todo:
-        grid, off, w, a, b = todo.pop()
-        row = (a - off) * w - off  # grid[row + i] is the state on [a, i)
-        s = grid[row + b]
+        grid, w, a, b = todo.pop()
+        s = grid[a * w + b]
         if not s.size:
             continue
         i = s.point
-        tl, tr = grid[row + i], grid[(i - off) * w + b - off]
+        tl, tr = grid[a * w + i], grid[i * w + b]
         if s.side == RIGHT_CANDIDATE:
             if tl is not None:
-                todo.append((grid, off, w, a, i))
+                todo.append((grid, w, a, i))
             if tr is not None:
                 picks.append(tr.lo)
                 if tr.cr is not None:
-                    todo.append((tr.cr, i, b - i + 1, i, b))
+                    todo.append((tr.cr, b - i + 1, 0, b - i))
         else:
             if tr is not None:
-                todo.append((grid, off, w, i, b))
+                todo.append((grid, w, i, b))
             if tl is not None:
                 picks.append(tl.hi)
                 if tl.cl is not None:
-                    todo.append((tl.cl, a, i - a + 1, a, i))
+                    todo.append((tl.cl, i - a + 1, 0, i - a))
     return picks
 
 
@@ -312,7 +314,7 @@ class InstanceState:
     def __init__(self, domain: Domain, cells: list[int] | None = None):
         self.domain = domain
         self._cells = [0] if cells is None else cells
-        self._grid = _new_grid(domain.a, domain.b, self._cells)
+        self._grid = _new_grid(domain.b - domain.a, self._cells)
 
     def feed(self, interval: UnitInterval) -> None:
         """Route one arriving interval through every reachable state.
@@ -325,20 +327,20 @@ class InstanceState:
         if not contained_in(interval, d):
             raise DomainError(f"{interval} not contained in {d}")
         x = interval.left
-        _feed(self._grid, d.a, d.b, self._cells, interval, x.num, x.den, x.num // x.den)
+        _feed(self._grid, d.b - d.a, self._cells, interval, x.num, x.den, x.num // x.den - d.a)
 
     def output(self) -> RunReport:
         """Largest candidate over all split points, validated as independent."""
-        grid, a, b = self._grid, self.domain.a, self.domain.b
-        root = grid[b - a]
+        grid, a, k = self._grid, self.domain.a, self.domain.b - self.domain.a
+        root = grid[k]
         if root is None:
-            point = a + 1 if b - a >= 2 else None
+            point = a + 1 if k >= 2 else None
             side = RIGHT_CANDIDATE if point is not None else None
             return RunReport(IndependentSet(), point, side, 1, 0)
-        _fill(grid, a, b)
+        _fill(grid, k)
         return RunReport(
-            output=IndependentSet(_picks(grid, a, b)),
-            winning_split_point=root.point,
+            output=IndependentSet(_picks(grid, k)),
+            winning_split_point=a + root.point,
             winning_side=root.side,
             instances_touched=root.nodes,
             peak_stored_intervals=root.stored,

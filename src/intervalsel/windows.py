@@ -19,12 +19,16 @@ from .geometry import IndependentSet, UnitInterval, max_independent_set
 from .restricted import InstanceState, RunReport, wrapper_domain
 
 
-def windows_containing(interval: UnitInterval, delta: int) -> list[int]:
-    """Origins i with i <= left and left + 1 < i + delta; always delta - 1 of them."""
+def windows_containing(interval: UnitInterval, delta: int) -> range:
+    """Origins i with i <= left and left + 1 < i + delta; always delta - 1 of them.
+
+    A range, so that at a huge delta the budget refuses the first window's
+    grid before any memory goes to the origins.
+    """
     if delta < 2:
         raise ValueError("delta must be at least 2")
     fl = interval.left.floor()
-    return list(range(fl - delta + 2, fl + 1))
+    return range(fl - delta + 2, fl + 1)
 
 
 class WindowReport(NamedTuple):

@@ -1,8 +1,8 @@
 """The split-point recursion as an explicit tree, used only by the tests.
 
-This is the library's earlier ``InstanceState``, kept verbatim: every
-recursion node is materialised as its own object and fed separately, and
-the counters are two full-tree walks.  It is the independent reference the
+This is the library's earlier ``InstanceState``, its logic unchanged:
+every recursion node is materialised as its own object and fed separately,
+and the counters are two full-tree walks.  It is the independent reference the
 hash-consed implementation in ``intervalsel.restricted`` is compared with,
 as ``brute.py`` is for alpha and the recurrence.  It costs about 5x per
 domain unit, so keep streams small.
@@ -97,10 +97,11 @@ class InstanceState:
         best: list[UnitInterval] = []
         best_point: int | None = None
         best_side: str | None = None
-        if self.domain.length >= 2:
-            best_point = self.domain.a + 1
+        a, b = self.domain.a, self.domain.b
+        if b - a >= 2:
+            best_point = a + 1
             best_side = RIGHT_CANDIDATE
-        for i in self.domain.split_points():
+        for i in range(a + 1, b):
             tl = self._tl.get(i)
             cand = tl._best()[0] if tl is not None else []
             r = self._r.get(i)

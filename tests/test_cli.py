@@ -235,14 +235,19 @@ class TestDispatch:
             (["gadget", "--t", "6", "--simulate", "--algorithm", "windowed:6",
               "--samples", "20", "--seed", "1", "--threads", "1"],
              "gadget geometry restricted rng windows"),
-            (["gadget", "--t", "6", "--verify", "--seed", "1"],
-             "gadget geometry restricted rng windows"),
+            (["gadget", "--t", "6", "--verify", "--seed", "1"], "gadget geometry rng"),
             (["montecarlo", "--alpha", "6", "--delta", "7", "--trials", "4",
               "--seed", "1", "--threads", "1"],
              "gadget geometry harness recurrence restricted rng windows"),
             (["substream-test", "--trials", "2", "--seed", "7"],
              "gadget geometry harness recurrence restricted rng windows"),
             (["dp", "--delta", "70"], "geometry recurrence"),
+            (["gadget", "--t", "6", "--simulate", "--algorithm", "oracle",
+              "--samples", "20", "--seed", "1", "--threads", "1"],
+             "gadget geometry rng"),
+            (["gadget", "--t", "6", "--simulate", "--algorithm", "first",
+              "--samples", "20", "--seed", "1", "--threads", "1"],
+             "gadget geometry rng"),
         ],
     )
     def test_each_subcommand_loads_only_its_modules(self, args, modules, tmp_path):
@@ -640,6 +645,20 @@ class TestMonteCarlo:
         )
         assert code == 2
 
+    def test_window_below_two_is_named(self, capsys):
+        # named before the alpha range, which at delta 1 would be [1, 0]
+        code, out, err = run_cli(
+            [
+                "montecarlo", "--kind", "independent", "--alpha", "2",
+                "--delta", "1", "--trials", "10", "--seed", SEED,
+                "--threads", "1",
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == "usage error: delta must be at least 2"
+
     def test_auto_seed_is_printed(self, capsys):
         code, _, err = run_cli(
             [
@@ -975,30 +994,35 @@ class TestGridBudget:
     def test_large_delta_is_refused_before_allocating(self, tmp_path):
         # One window's root grid at delta 100000 holds about 1e10 cells; the
         # budget refuses it before the list is allocated, so the run ends at
-        # once with the budget's message, not with a MemoryError.
+        # once with the budget's message, not with a MemoryError.  At delta
+        # 3e8 a list of the delta - 1 origins of an interval's windows would
+        # alone pass the cap, so they must not be listed before the grid.
         path = tmp_path / "one.txt"
         path.write_text("0\n")
 
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
 
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "intervalsel", "run", "--unrestricted",
-                "--delta", "100000", "--input", str(path),
-            ],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            preexec_fn=cap_address_space,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
-        )
-        assert time.perf_counter() - start < 10.0
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines()[-1].startswith("error: grid-cell budget exceeded:")
-        assert "Traceback" not in proc.stderr
+        for delta in ("100000", "300000000"):
+            start = time.perf_counter()
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "intervalsel", "run", "--unrestricted",
+                    "--delta", delta, "--input", str(path),
+                ],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                preexec_fn=cap_address_space,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+            )
+            assert time.perf_counter() - start < 10.0, delta
+            assert proc.returncode == 1, delta
+            assert proc.stdout == ""
+            assert proc.stderr.splitlines()[-1].startswith(
+                "error: grid-cell budget exceeded:"
+            ), (delta, proc.stderr)
+            assert "Traceback" not in proc.stderr
 
 
 class TestByteDeterminism:

@@ -40,8 +40,8 @@ class TestBuild:
     def test_clique_coordinates(self):
         g = build(4, 2, [0, 0, 0, 0], [1, 1, 1, 1], IDENTITY_SIGMA_T4)
         # wings arrive at positions 4 and 5, so every clique item is private
-        assert frac(g.clique[2].left) == Fraction(2, 5)
-        assert g.encoded_bits == (0, 0, 0, 0)
+        # i/(t+1) + b_i/t**2 with every private bit b_i = 0
+        assert [frac(iv.left) for iv in g.clique] == [Fraction(i, 5) for i in range(4)]
 
     def test_wing_coordinates(self):
         g = build(4, 2, [0] * 4, [0] * 4, IDENTITY_SIGMA_T4)
@@ -57,7 +57,8 @@ class TestBuild:
         # wings at positions 0 and 1: nothing is private
         sigma = [2, 3, 4, 5, 0, 1]
         g = build(4, 0, [1, 1, 1, 1], [0, 0, 0, 0], sigma)
-        assert g.encoded_bits == (0, 0, 0, 0)
+        # the public bits, all 0, are baked in, not Alice's
+        assert [frac(iv.left) for iv in g.clique] == [Fraction(i, 5) for i in range(4)]
         assert not g.alice_built_target
 
     def test_stream_order_follows_sigma(self):

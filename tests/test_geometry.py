@@ -143,10 +143,6 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain(3, 1)
 
-    def test_split_points(self):
-        assert list(Domain(-1, 7).split_points()) == [0, 1, 2, 3, 4, 5, 6]
-        assert list(Domain(0, 1).split_points()) == []
-
 
 class TestIndependentSet:
     def test_sorted_canonical(self):

@@ -108,7 +108,7 @@ class TestDomain:
 
     def test_keyword_construction(self):
         d = Domain(b=4, a=-1)
-        assert (d.a, d.b, d.length, str(d)) == (-1, 4, 5, "[-1, 4)")
+        assert (d.a, d.b, str(d)) == (-1, 4, "[-1, 4)")
 
 
 class TestTrialSummary:

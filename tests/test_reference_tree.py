@@ -10,7 +10,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from intervalsel import windows
-from intervalsel.geometry import Scalar, UnitInterval
+from intervalsel.geometry import Domain, Scalar, UnitInterval
 from intervalsel.restricted import InstanceState, wrapper_domain
 from intervalsel.windows import WindowMap, run_windowed
 
@@ -31,13 +31,16 @@ def streams(draw, max_delta=7, max_size=8, span=0):
 
 
 @settings(max_examples=150, deadline=None)
-@given(streams())
-def test_reports_match_after_every_feed(case):
+@given(streams(), st.integers(-40, 40))
+def test_reports_match_after_every_feed(case, origin):
+    # wrapper_domain(delta) and the stream, both moved by origin
     delta, stream = case
-    dag = InstanceState(wrapper_domain(delta))
-    tree = TreeInstanceState(wrapper_domain(delta))
+    domain = Domain(origin - 1, origin + delta + 1)
+    dag = InstanceState(domain)
+    tree = TreeInstanceState(domain)
     assert dag.output() == tree.output()
     for iv in stream:
+        iv = iv.translate(origin)
         dag.feed(iv)
         tree.feed(iv)
         assert dag.output() == tree.output()

@@ -45,7 +45,6 @@ class TestInstanceBasics:
 
     def test_wrapper_domain(self):
         assert wrapper_domain(6) == Domain(-1, 7)
-        assert list(wrapper_domain(6).split_points()) == [0, 1, 2, 3, 4, 5, 6]
 
     def test_fresh_instance_is_lazy_and_empty(self):
         rep = InstanceState(Domain(-1, 7)).output()

@@ -19,8 +19,8 @@ from brute import brute_force_alpha, brute_force_independent, random_intervals, 
 
 class TestWindowsContaining:
     def test_examples(self):
-        assert windows_containing(u("1/2"), 2) == [0]
-        assert windows_containing(u(0), 3) == [-1, 0]
+        assert list(windows_containing(u("1/2"), 2)) == [0]
+        assert list(windows_containing(u(0), 3)) == [-1, 0]
         assert len(windows_containing(u("22/7"), 5)) == 4
 
     def test_delta_must_be_at_least_two(self):
@@ -38,7 +38,7 @@ class TestWindowsContaining:
         expected = [
             i for i in range(-60, 61) if i <= left and left + 1 < i + delta
         ]
-        got = windows_containing(iv, delta)
+        got = list(windows_containing(iv, delta))
         assert got == expected
         assert len(got) == delta - 1
 
