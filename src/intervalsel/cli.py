@@ -11,12 +11,17 @@ parsed, lies outside the domain, a run exceeds the grid-cell budget of
 ``restricted`` or memory runs out, or a verification or data check fails;
 2 on usage errors.  ``dispatch`` alone maps exceptions to these codes.
 
+The ``config:`` line is every parsed option, defaults included, plus what
+the run resolved: the seed, ``run``'s interval count and the index that
+``gadget --verify`` drew.
+
 Each handler imports the modules it runs, so a run compiles and loads only
-those: ``dp`` loads ``recurrence``; ``run`` loads ``restricted``, and
-``windows`` with --unrestricted; ``gadget`` loads ``gadget``; ``montecarlo``
-and ``substream-test`` load ``harness``, which brings ``gadget`` and
-``windows``.  ``geometry`` declares the errors
-``dispatch`` maps, so every run loads it.
+those: ``dp`` loads ``recurrence``; ``run`` loads ``restricted`` and ``rng``,
+and ``windows`` with --unrestricted; ``gadget`` loads ``gadget`` and ``rng``,
+and ``windows`` and ``restricted`` only to simulate ``windowed:DELTA``;
+``montecarlo`` and ``substream-test`` load ``harness``, which brings every
+other module.  ``geometry`` declares the errors ``dispatch`` maps, so every
+run loads it.
 """
 
 from __future__ import annotations
@@ -73,9 +78,9 @@ def _echo_config(config: dict) -> None:
     print("config:", json.dumps(_jsonable(config), sort_keys=True), file=sys.stderr)
 
 
-def _options(args, seed: int) -> dict:
-    """The options given or defaulted, and the resolved seed."""
-    return {**{k: v for k, v in vars(args).items() if v is not None}, "seed": seed}
+def _options(args, **resolved) -> dict:
+    """The options given or defaulted, and what the run resolved, such as the seed."""
+    return {k: v for k, v in {**vars(args), **resolved}.items() if v is not None}
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -121,14 +126,7 @@ def _cmd_dp(args) -> int:
     if hi < lo:
         raise UsageError("need 2 <= delta_min <= delta_max")
 
-    _echo_config(
-        {
-            "subcommand": "dp",
-            "delta_min": lo,
-            "delta_max": hi,
-            "format": args.format,
-        }
-    )
+    _echo_config(_options(args))
     start = time.perf_counter()
     table = recurrence.build_out_table(hi - 1)
     metrics = {
@@ -213,23 +211,20 @@ def _cmd_run(args) -> int:
         raise UsageError("give exactly one of --domain A,B or --unrestricted")
     if args.unrestricted and args.delta is None:
         raise UsageError("--unrestricted needs --delta")
+    if args.domain:
+        try:
+            a, b = (int(part) for part in args.domain.split(",", 1))
+            domain = Domain(a, b)
+        except ValueError as exc:
+            raise UsageError(f"bad domain {args.domain!r}: {exc}")
 
     seed = _resolve_seed(args.seed) if args.order == "shuffle" else args.seed
     stream = _read_intervals(args.input)
     if args.order == "shuffle":
         stream = fisher_yates(stream, SplitMix64(seed))
-
-    config = {
-        "subcommand": "run",
-        "input": args.input,
-        "order": args.order,
-        "seed": seed,
-        "intervals": len(stream),
-    }
+    _echo_config(_options(args, seed=seed, intervals=len(stream)))
 
     if args.unrestricted:
-        config.update({"mode": "unrestricted", "delta": args.delta})
-        _echo_config(config)
         from . import windows
 
         wm = windows.WindowMap(args.delta)
@@ -256,13 +251,6 @@ def _cmd_run(args) -> int:
         )
         return 0
 
-    try:
-        a, b = (int(part) for part in args.domain.split(",", 1))
-        domain = Domain(a, b)
-    except ValueError as exc:
-        raise UsageError(f"bad domain {args.domain!r}: {exc}")
-    config.update({"mode": "restricted", "domain": [domain.a, domain.b]})
-    _echo_config(config)
     report = run_on_stream(domain, stream)
     payload = report.to_dict()
     payload["alpha"] = alpha(stream)
@@ -309,7 +297,7 @@ def _cmd_montecarlo(args) -> int:
         path=args.input,
         aligned=args.aligned,
     )
-    _echo_config(_options(args, seed))
+    _echo_config(_options(args, seed=seed))
     intervals = harness.instance_from_spec(spec)
     if len(intervals) >= 5 and harness.consecutive_floor_packing(intervals):
         print(
@@ -388,16 +376,7 @@ def _cmd_gadget(args) -> int:
             raise UsageError(f"--index must lie in [0, {args.t})")
         ybits = _parse_bits(args.ybits, args.t, rng)
         sigma = gadget_mod.sample_sigma(args.t, rng)
-        _echo_config(
-            {
-                "subcommand": "gadget",
-                "mode": "verify",
-                "t": args.t,
-                "index": index,
-                "seed": seed,
-                "exhaustive": args.exhaustive,
-            }
-        )
+        _echo_config(_options(args, seed=seed, index=index))
         instance = gadget_mod.build(args.t, index, xbits, ybits, sigma)
         report = gadget_mod.verify(instance, exhaustive=args.exhaustive)
         payload = report.to_dict()
@@ -406,17 +385,7 @@ def _cmd_gadget(args) -> int:
         _emit_json(payload)
         return 0
 
-    _echo_config(
-        {
-            "subcommand": "gadget",
-            "mode": "simulate",
-            "t": args.t,
-            "samples": args.samples,
-            "algorithm": args.algorithm,
-            "seed": seed,
-            "threads": args.threads,
-        }
-    )
+    _echo_config(_options(args, seed=seed))
     stats = gadget_mod.simulate_protocol(
         args.t, args.samples, args.algorithm, seed, threads=args.threads
     )
@@ -439,7 +408,7 @@ def _cmd_substream(args) -> int:
     from . import harness
 
     seed = _resolve_seed(args.seed)
-    _echo_config(_options(args, seed))
+    _echo_config(_options(args, seed=seed))
     report = harness.substream_monotonicity_test(args.trials, seed)
     _emit_json(report.to_dict())
     return 0 if report.violation_count == 0 else 1

@@ -103,8 +103,8 @@ class Scalar(_Value):
     Always stored with gcd(|num|, den) = 1 and den > 0.  Operands are
     Scalars only.  Results of + and - are range-checked; comparisons are
     exact (intermediate cross products are computed with Python integers and
-    never stored).  ``__eq__`` and ``__hash__`` are its own rather than the
-    base's: sorting by left endpoint compares Scalars in the hot loops.
+    never stored).  Equality and hashing are the base's, on ``(num, den)``;
+    a sort by left endpoint calls only ``<``.
     """
 
     __slots__ = ("num", "den")
@@ -166,11 +166,6 @@ class Scalar(_Value):
             return NotImplemented
         return Scalar(self.num * other.den - other.num * self.den, self.den * other.den)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
     def __lt__(self, other) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
@@ -180,9 +175,6 @@ class Scalar(_Value):
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.num * other.den > other.num * self.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def __str__(self) -> str:
         return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
@@ -279,13 +271,14 @@ class IndependentSet(_Value):
 def max_independent_set(intervals: Sequence[UnitInterval]) -> IndependentSet:
     """Largest independent subset via the earliest-right-endpoint greedy sweep.
 
-    Deterministic: sort by right endpoint, ties by left endpoint, then by
-    arrival index; accept an interval only if it is strictly independent of
-    the last one chosen.  For intervals the greedy sweep is exactly optimal.
+    Deterministic: sort by left endpoint, which for unit intervals is the
+    order of right endpoints, and accept an interval only if it is strictly
+    independent of the last one chosen.  The sort is stable, so among equal
+    intervals the first to arrive is kept.  For intervals the greedy sweep
+    is exactly optimal.
     """
-    order = sorted(enumerate(intervals), key=lambda pair: (pair[1].left, pair[0]))
     chosen: list[UnitInterval] = []
-    for _, iv in order:
+    for iv in sorted(intervals, key=lambda iv: iv.left):
         if not chosen or not intersects(chosen[-1], iv):
             chosen.append(iv)
     return IndependentSet(chosen)

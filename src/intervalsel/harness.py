@@ -69,7 +69,7 @@ class InstanceSpec(NamedTuple):
     aligned: bool = False
 
 
-class _TrialSummaryFields(NamedTuple):
+class TrialSummary(NamedTuple):
     trials: int
     mean: float
     std: float
@@ -80,23 +80,6 @@ class _TrialSummaryFields(NamedTuple):
     predicted_bound: float
     stderr: float
     meets_prediction: bool
-
-
-class TrialSummary(_TrialSummaryFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not (self.min_size <= self.mean <= self.max_size <= self.alpha):
-            raise ValidationError(
-                f"summary out of order: min={self.min_size} mean={self.mean} "
-                f"max={self.max_size} alpha={self.alpha}"
-            )
-        return self
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace validates too
-        return cls(*iterable)
 
     def to_dict(self) -> dict:
         return {
@@ -256,12 +239,17 @@ def monte_carlo(
     std = math.sqrt(max(var, 0.0))
     stderr = std / math.sqrt(count)
     bound = float(out_lb(a))
+    lo, hi = min(sizes), max(sizes)
+    if not lo <= mean <= hi <= a:
+        raise ValidationError(
+            f"summary out of order: min={lo} mean={mean} max={hi} alpha={a}"
+        )
     return TrialSummary(
         trials=count,
         mean=mean,
         std=std,
-        min_size=min(sizes),
-        max_size=max(sizes),
+        min_size=lo,
+        max_size=hi,
         alpha=a,
         empirical_factor=mean / a if a else 0.0,
         predicted_bound=bound,

@@ -165,6 +165,12 @@ class TestOracle:
         chosen = max_independent_set([u("1/2"), u(0), u(2)])
         assert [str(iv.left) for iv in chosen] == ["0", "2"]
 
+    def test_first_of_equal_intervals_is_kept(self):
+        first, second = u("1/3"), u("1/3")
+        chosen = max_independent_set([u(2), first, second])
+        assert len(chosen) == 2
+        assert chosen.intervals[0] is first
+
     def test_gadget_instance_has_alpha_three(self):
         from intervalsel.gadget import build
 

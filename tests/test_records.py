@@ -2,9 +2,11 @@
 their fields, picklable, and printed as ``Name(field=value, ...)``."""
 
 import pickle
+from collections import Counter
 
 import pytest
 
+from intervalsel import harness
 from intervalsel.gadget import random_gadget, simulate_protocol, verify
 from intervalsel.geometry import (
     Domain,
@@ -128,15 +130,14 @@ class TestTrialSummary:
     def test_ordered_fields_are_accepted(self):
         assert TrialSummary(**self.FIELDS).to_dict()["min"] == 1
 
-    @pytest.mark.parametrize(
-        "changes",
-        [{"min_size": 3}, {"mean": 3.5}, {"max_size": 4}, {"mean": 0.5}],
-    )
-    def test_fields_out_of_order_are_refused(self, changes):
+    # each replaces the trials' counts of output sizes with one that reaches
+    # above alpha = 2, which monte_carlo refuses as it builds the summary
+    @pytest.mark.parametrize("changes", [{3: 1}, {1: 2, 3: 1}, {2: 3, 4: 1}, {5: 4}])
+    def test_fields_out_of_order_are_refused(self, changes, monkeypatch):
+        monkeypatch.setattr(harness, "map_trials", lambda *args: Counter(changes))
+        spec = InstanceSpec(kind="independent", delta=4, seed=SEED, alpha=2)
         with pytest.raises(ValidationError, match="out of order"):
-            TrialSummary(**{**self.FIELDS, **changes})
-        with pytest.raises(ValidationError, match="out of order"):
-            TrialSummary(**self.FIELDS)._replace(**changes)
+            monte_carlo(spec, 5, threads=1)
 
 
 @pytest.mark.parametrize(
