@@ -13,7 +13,7 @@ parsed, lies outside the domain, a run exceeds the grid-cell budget of
 
 The ``config:`` line is every parsed option, defaults included, plus what
 the run resolved: the seed, ``run``'s interval count and the index that
-``gadget --verify`` drew.
+``gadget --verify`` drew.  An option the run would ignore is refused.
 
 Each handler imports the modules it runs, so a run compiles and loads only
 those: ``dp`` loads ``recurrence``; ``run`` loads ``restricted`` and ``rng``,
@@ -209,8 +209,8 @@ def _cmd_run(args) -> int:
 
     if args.unrestricted == bool(args.domain):
         raise UsageError("give exactly one of --domain A,B or --unrestricted")
-    if args.unrestricted and args.delta is None:
-        raise UsageError("--unrestricted needs --delta")
+    if args.unrestricted != (args.delta is not None):
+        raise UsageError("--delta goes with --unrestricted, and only with it")
     if args.domain:
         try:
             a, b = (int(part) for part in args.domain.split(",", 1))
@@ -362,6 +362,10 @@ def _cmd_gadget(args) -> int:
 
     if args.verify == args.simulate:
         raise UsageError("give exactly one of --verify or --simulate")
+    if args.simulate and (
+        args.exhaustive or {args.index, args.xbits, args.ybits} != {None}
+    ):
+        raise UsageError("--index, --xbits, --ybits and --exhaustive go with --verify")
     _check_threads(args.threads)
     gadget_mod.check_t(args.t)  # before any bit is drawn
     seed = _resolve_seed(args.seed)

@@ -55,8 +55,9 @@ class InstanceSpec(NamedTuple):
     """Recipe for a reproducible instance family.
 
     kind "independent" needs alpha; "clique" needs size; "gadget" needs t;
-    "custom-file" needs path.  delta is the window width the stream must fit
-    (inputs confined to [0, delta)); seed drives all generation.
+    "custom-file" needs path.  A field of another kind (``KIND_FIELDS``) is
+    refused.  delta is the window width the stream must fit (inputs
+    confined to [0, delta)); seed drives all generation.
     """
 
     kind: Literal["independent", "clique", "gadget", "custom-file"]
@@ -67,6 +68,16 @@ class InstanceSpec(NamedTuple):
     t: int | None = None
     path: str | None = None
     aligned: bool = False
+
+
+# The spec fields each kind reads, the one it needs first; a spec of any other
+# kind leaves them unset.
+KIND_FIELDS = {
+    "independent": ("alpha", "aligned"),
+    "clique": ("size",),
+    "gadget": ("t",),
+    "custom-file": ("path",),
+}
 
 
 class TrialSummary(NamedTuple):
@@ -143,17 +154,21 @@ def gen_clique(size: int) -> list[UnitInterval]:
 
 
 def instance_from_spec(spec: InstanceSpec) -> list[UnitInterval]:
+    if spec.kind not in KIND_FIELDS:
+        raise ValueError(f"unknown instance kind {spec.kind!r}")
+    needed = KIND_FIELDS[spec.kind][0]
+    if getattr(spec, needed) is None:
+        raise ValueError(f"{spec.kind} instances need {needed}")
+    for kind, fields in KIND_FIELDS.items():
+        for field in fields:
+            unset = InstanceSpec._field_defaults[field]
+            if kind != spec.kind and getattr(spec, field) is not unset:
+                raise ValueError(f"{field} applies only to {kind} instances")
     if spec.kind == "independent":
-        if spec.alpha is None:
-            raise ValueError("independent instances need alpha")
         return gen_independent(spec.alpha, spec.delta, spec.seed, aligned=spec.aligned)
     if spec.kind == "clique":
-        if spec.size is None:
-            raise ValueError("clique instances need size")
         return gen_clique(spec.size)
     if spec.kind == "gadget":
-        if spec.t is None:
-            raise ValueError("gadget instances need t")
         if spec.t > MAX_GADGET_T:
             raise ValueError(
                 f"t must be <= {MAX_GADGET_T}: larger gadget instances, shifted "
@@ -164,11 +179,7 @@ def instance_from_spec(spec: InstanceSpec) -> list[UnitInterval]:
             raise ValueError("gadget instances need delta >= 5")
         g = gadget_mod.random_gadget(spec.t, derive(spec.seed, 0))
         return [iv.translate(2) for iv in g.stream]
-    if spec.kind == "custom-file":
-        if spec.path is None:
-            raise ValueError("custom instances need a path")
-        return parse_intervals(Path(spec.path).read_text())
-    raise ValueError(f"unknown instance kind {spec.kind!r}")
+    return parse_intervals(Path(spec.path).read_text())
 
 
 def _validate_output(output: IndependentSet, ceiling: int) -> int:
@@ -227,6 +238,8 @@ def monte_carlo(
     # Built once: a bad spec fails before any trial, and all trials share it.
     if intervals is None:
         intervals = instance_from_spec(spec)
+    if spec.kind == "gadget" and algorithm == "windowed":
+        gadget_mod.check_window(spec.t, spec.delta)
     a = alpha(intervals)
     trial_args = (intervals, a, spec.delta, spec.seed, algorithm)
     sizes = map_trials(_trial, trial_args, trials, threads)

@@ -362,8 +362,8 @@ def wrapper_domain(delta: int) -> Domain:
     points immediately left and right of it exist, including at the
     boundary positions 0 and delta.
     """
-    if delta < 1:
-        raise ValueError("delta must be at least 1")
+    if delta < 2:
+        raise ValueError("delta must be at least 2")
     return Domain(-1, delta + 1)
 
 

@@ -142,6 +142,68 @@ GOLDEN_CONFIG = {
         "substream-test --trials 2 --seed 7",
         '{"seed": 7, "subcommand": "substream-test", "trials": 2}',
     ),
+    # dp, run and gadget: recorded when their config lines became the parsed
+    # options too, with run's interval count and gadget --verify's index
+    "dp-delta": (
+        "dp --delta 50",
+        '{"delta": 50, "format": "csv", "subcommand": "dp"}',
+    ),
+    "dp-sweep": (
+        "dp --sweep 2..6 --format json",
+        '{"format": "json", "subcommand": "dp", "sweep": "2..6"}',
+    ),
+    "run-domain": (
+        "run --domain -1,7 --input intervals.txt",
+        '{"domain": "-1,7", "input": "intervals.txt", "intervals": 3, '
+        '"order": "given", "subcommand": "run", "unrestricted": false}',
+    ),
+    "run-unrestricted": (
+        "run --unrestricted --delta 4 --order shuffle --seed 7 --input intervals.txt",
+        '{"delta": 4, "input": "intervals.txt", "intervals": 3, '
+        '"order": "shuffle", "seed": 7, "subcommand": "run", "unrestricted": true}',
+    ),
+    "gadget-verify": (
+        "gadget --t 12 --verify --seed 7 --threads 1",
+        '{"algorithm": "oracle", "exhaustive": false, "index": 6, '
+        '"samples": 1000, "seed": 7, "simulate": false, "subcommand": "gadget", '
+        '"t": 12, "threads": 1, "verify": true}',
+    ),
+    "gadget-simulate": (
+        "gadget --t 6 --simulate --algorithm windowed:6 --samples 3 --seed 7 --threads 1",
+        '{"algorithm": "windowed:6", "exhaustive": false, "samples": 3, '
+        '"seed": 7, "simulate": true, "subcommand": "gadget", "t": 6, '
+        '"threads": 1, "verify": false}',
+    ),
+}
+
+# One option per case that the run would ignore: each is refused instead.
+INAPPLICABLE_OPTIONS = {
+    "run-delta-with-domain": [
+        "run", "--domain", "0,7", "--delta", "3", "--input", "intervals.txt",
+    ],
+    **{
+        f"montecarlo-{option[2:]}-{kind}": [
+            "montecarlo", "--kind", kind, *extra, option, *value,
+            "--delta", "4", "--trials", "2", "--seed", SEED, "--threads", "1",
+        ]
+        for option, value, kind, extra in [
+            ("--alpha", ["2"], "clique", ["--size", "3"]),
+            ("--aligned", [], "clique", ["--size", "3"]),
+            ("--size", ["3"], "independent", ["--alpha", "2"]),
+            ("--t", ["3"], "independent", ["--alpha", "2"]),
+            ("--input", ["intervals.txt"], "independent", ["--alpha", "2"]),
+        ]
+    },
+    **{
+        f"gadget-simulate-{option[2:]}": [
+            "gadget", "--t", "4", "--simulate", option, *value,
+            "--samples", "2", "--seed", SEED, "--threads", "1",
+        ]
+        for option, value in [
+            ("--index", ["2"]), ("--xbits", ["f"]), ("--ybits", ["f"]),
+            ("--exhaustive", []),
+        ]
+    },
 }
 
 
@@ -645,19 +707,27 @@ class TestMonteCarlo:
         )
         assert code == 2
 
-    def test_window_below_two_is_named(self, capsys):
-        # named before the alpha range, which at delta 1 would be [1, 0]
-        code, out, err = run_cli(
-            [
-                "montecarlo", "--kind", "independent", "--alpha", "2",
-                "--delta", "1", "--trials", "10", "--seed", SEED,
-                "--threads", "1",
-            ],
-            capsys,
-        )
-        assert code == 2
-        assert out == ""
-        assert err.splitlines()[-1] == "usage error: delta must be at least 2"
+    def test_window_below_two_is_named(self, tmp_path, capsys):
+        # named before the alpha range, which at delta 1 would be [1, 0], and
+        # before a clique or an empty file meets the wrapper domain
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        for kind in (
+            ["independent", "--alpha", "2"],
+            ["clique", "--size", "1"],
+            ["custom-file", "--input", str(empty)],
+        ):
+            for algorithm in ("restricted", "windowed"):
+                code, out, err = run_cli(
+                    [
+                        "montecarlo", "--kind", *kind, "--algorithm", algorithm,
+                        "--delta", "1", "--trials", "10", "--seed", SEED,
+                        "--threads", "1",
+                    ],
+                    capsys,
+                )
+                assert (code, out) == (2, ""), (kind, algorithm)
+                assert err.splitlines()[-1] == "usage error: delta must be at least 2"
 
     def test_auto_seed_is_printed(self, capsys):
         code, _, err = run_cli(
@@ -768,6 +838,17 @@ class TestGadget:
             "usage error: bad algorithm 'windowed:abc': "
             "expected oracle, first or windowed:DELTA"
         )
+
+
+class TestInapplicableOptions:
+    @pytest.mark.parametrize("name", INAPPLICABLE_OPTIONS)
+    def test_is_refused(self, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "intervals.txt").write_text("0\n2\n")
+        code, out, err = run_cli(INAPPLICABLE_OPTIONS[name], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith("usage error:")
 
 
 class TestSubstream:

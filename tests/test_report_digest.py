@@ -26,3 +26,10 @@ def test_digest_repeats_and_depends_on_the_streams():
     assert len(first) == 64
     assert digest(30, "2") == first
     assert digest(31, "1") != first
+
+
+def test_digest_of_100_streams_is_pinned():
+    # 100 streams, 34 of them also through a WindowMap
+    assert digest(100, "1") == (
+        "e9ad92236dbd77b0c2a3cb88b0a9d78e9a6d4c969d443525927d535555b933d5"
+    )
