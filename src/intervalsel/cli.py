@@ -11,9 +11,12 @@ parsed, lies outside the domain, a run exceeds the grid-cell budget of
 ``restricted`` or memory runs out, or a verification or data check fails;
 2 on usage errors.  ``dispatch`` alone maps exceptions to these codes.
 
-The ``config:`` line is every parsed option, defaults included, plus what
-the run resolved: the seed, ``run``'s interval count and the index that
-``gadget --verify`` drew.  An option the run would ignore is refused.
+The ``config:`` line is every parsed option, plus what the run resolved:
+the seed, ``run``'s interval count, the index that ``gadget --verify``
+drew, and the samples, algorithm and threads that ``gadget --simulate``
+defaults when they are not given.  An option the run would ignore is
+refused, and so is a seed outside [0, 2**64).  A JSON report is its result
+record, field by field.
 
 Each handler imports the modules it runs, so a run compiles and loads only
 those: ``dp`` loads ``recurrence``; ``run`` loads ``restricted`` and ``rng``,
@@ -61,6 +64,8 @@ def _fmt(value) -> str:
 
 
 def _jsonable(value):
+    if hasattr(value, "_asdict"):  # a report record prints its fields
+        value = value._asdict()
     if isinstance(value, (Fraction, float)):
         return float(_fmt(value))
     if isinstance(value, dict):
@@ -85,6 +90,8 @@ def _options(args, **resolved) -> dict:
 
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
+        if not 0 <= seed < 1 << 64:
+            raise UsageError(f"--seed must lie in [0, 2**64), got {seed}")
         return seed
     return int.from_bytes(os.urandom(8), "big") >> 1
 
@@ -211,6 +218,8 @@ def _cmd_run(args) -> int:
         raise UsageError("give exactly one of --domain A,B or --unrestricted")
     if args.unrestricted != (args.delta is not None):
         raise UsageError("--delta goes with --unrestricted, and only with it")
+    if args.order != "shuffle" and args.seed is not None:
+        raise UsageError("--seed goes with --order shuffle, and only with it")
     if args.domain:
         try:
             a, b = (int(part) for part in args.domain.split(",", 1))
@@ -218,7 +227,7 @@ def _cmd_run(args) -> int:
         except ValueError as exc:
             raise UsageError(f"bad domain {args.domain!r}: {exc}")
 
-    seed = _resolve_seed(args.seed) if args.order == "shuffle" else args.seed
+    seed = _resolve_seed(args.seed) if args.order == "shuffle" else None
     stream = _read_intervals(args.input)
     if args.order == "shuffle":
         stream = fisher_yates(stream, SplitMix64(seed))
@@ -315,11 +324,10 @@ def _cmd_montecarlo(args) -> int:
         intervals=intervals,
     )
     if args.format == "csv":
-        fields = summary.to_dict()
-        print(",".join(fields))
-        print(",".join(_fmt(v) for v in fields.values()))
+        print(",".join(summary._fields))
+        print(",".join(_fmt(v) for v in summary))
     else:
-        _emit_json(summary.to_dict())
+        _emit_json(summary)
     return 0
 
 
@@ -335,14 +343,13 @@ def _add_gadget(sub) -> None:
     p.add_argument("--xbits", help="private bits as hex, bit i = (v >> i) & 1")
     p.add_argument("--ybits", help="public bits as hex")
     p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, help="default 1000 (simulation only)")
     p.add_argument(
         "--algorithm",
-        default="oracle",
-        help="oracle | first | windowed:DELTA (simulation only)",
+        help="oracle (default) | first | windowed:DELTA (simulation only)",
     )
     p.add_argument("--exhaustive", action="store_true", help="enumerate all triples")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, help="default: CPU count (simulation only)")
 
 
 def _parse_bits(hex_text: str | None, t: int, rng) -> tuple[int, ...]:
@@ -366,7 +373,8 @@ def _cmd_gadget(args) -> int:
         args.exhaustive or {args.index, args.xbits, args.ybits} != {None}
     ):
         raise UsageError("--index, --xbits, --ybits and --exhaustive go with --verify")
-    _check_threads(args.threads)
+    if args.verify and {args.samples, args.algorithm, args.threads} != {None}:
+        raise UsageError("--samples, --algorithm and --threads go with --simulate")
     gadget_mod.check_t(args.t)  # before any bit is drawn
     seed = _resolve_seed(args.seed)
 
@@ -382,18 +390,18 @@ def _cmd_gadget(args) -> int:
         sigma = gadget_mod.sample_sigma(args.t, rng)
         _echo_config(_options(args, seed=seed, index=index))
         instance = gadget_mod.build(args.t, index, xbits, ybits, sigma)
-        report = gadget_mod.verify(instance, exhaustive=args.exhaustive)
-        payload = report.to_dict()
-        payload["target_built_privately"] = instance.alice_built_target
-        payload["first_wing_position"] = instance.first_wing_position
-        _emit_json(payload)
+        _emit_json(gadget_mod.verify(instance, exhaustive=args.exhaustive))
         return 0
 
-    _echo_config(_options(args, seed=seed))
-    stats = gadget_mod.simulate_protocol(
-        args.t, args.samples, args.algorithm, seed, threads=args.threads
-    )
-    _emit_json(stats.to_dict())
+    simulation = {
+        "samples": 1000 if args.samples is None else args.samples,
+        "algorithm": "oracle" if args.algorithm is None else args.algorithm,
+        "threads": (os.cpu_count() or 1) if args.threads is None else args.threads,
+    }
+    _check_threads(simulation["threads"])
+    _echo_config(_options(args, seed=seed, **simulation))
+    stats = gadget_mod.simulate_protocol(args.t, seed=seed, **simulation)
+    _emit_json(stats)
     return 0
 
 
@@ -414,8 +422,8 @@ def _cmd_substream(args) -> int:
     seed = _resolve_seed(args.seed)
     _echo_config(_options(args, seed=seed))
     report = harness.substream_monotonicity_test(args.trials, seed)
-    _emit_json(report.to_dict())
-    return 0 if report.violation_count == 0 else 1
+    _emit_json(report)
+    return 0 if report.violations == 0 else 1
 
 
 # --- dispatch --------------------------------------------------------------------

@@ -225,9 +225,9 @@ class VerificationReport(NamedTuple):
     unique_triple: bool
     wing_gap_inequality: bool
     triple_checked_exhaustively: bool
-
-    def to_dict(self) -> dict:
-        return {**self._asdict(), "n": self.t + 2}
+    n: int
+    target_built_privately: bool
+    first_wing_position: int
 
 
 def verify(g: GadgetInstance, exhaustive: bool = False) -> VerificationReport:
@@ -303,7 +303,18 @@ def verify(g: GadgetInstance, exhaustive: bool = False) -> VerificationReport:
         unique_triple=True,
         wing_gap_inequality=True,
         triple_checked_exhaustively=exhaustive,
+        n=g.n,
+        target_built_privately=g.alice_built_target,
+        first_wing_position=g.first_wing_position,
     )
+
+
+def _target_first(t: int, seed: int, k: int) -> bool:
+    """Whether draw k places the target before both wings."""
+    rng = derive(seed, k)
+    index = rng.below(t)
+    positions = sample_sigma(t, rng)
+    return positions[index] < min(positions[t], positions[t + 1])
 
 
 def wing_after_probability(t: int, samples: int, seed: int) -> float:
@@ -316,14 +327,7 @@ def wing_after_probability(t: int, samples: int, seed: int) -> float:
         raise ValueError("need at least one sample")
     if t < 1:
         raise ValueError("need at least one clique item")
-    hits = 0
-    for k in range(samples):
-        rng = derive(seed, k)
-        index = rng.below(t)
-        positions = sample_sigma(t, rng)
-        if positions[index] < min(positions[t], positions[t + 1]):
-            hits += 1
-    return hits / samples
+    return map_trials(_target_first, (t, seed), samples, 1)[True] / samples
 
 
 # --- protocol simulation ----------------------------------------------------
@@ -356,64 +360,22 @@ def resolve_algorithm(name: str) -> Algorithm:
 
 class BranchStats(NamedTuple):
     samples: int
-    successes: int
-    size_sum: int
-
-    @property
-    def success_rate(self) -> float:
-        return self.successes / self.samples if self.samples else 0.0
-
-    @property
-    def mean_size(self) -> float:
-        return self.size_sum / self.samples if self.samples else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "success_rate": self.success_rate,
-            "mean_output_size": self.mean_size,
-        }
+    success_rate: float
+    mean_output_size: float
 
 
 class ProtocolStats(NamedTuple):
     """Aggregate outcome of simulating the recovery protocol."""
 
     t: int
+    n: int
     samples: int
-    successes: int
-    size_sum: int
-    triple_count: int
-    alice_branch: BranchStats
-    bob_branch: BranchStats
-
-    @property
-    def n(self) -> int:
-        return self.t + 2
-
-    @property
-    def success_rate(self) -> float:
-        return self.successes / self.samples
-
-    @property
-    def mean_output_size(self) -> float:
-        return self.size_sum / self.samples
-
-    @property
-    def approx_factor(self) -> float:
-        return self.mean_output_size / 3.0
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "n": self.n,
-            "samples": self.samples,
-            "success_rate": self.success_rate,
-            "mean_output_size": self.mean_output_size,
-            "approx_factor": self.approx_factor,
-            "unique_triple_rate": self.triple_count / self.samples,
-            "target_built_privately": self.alice_branch.to_dict(),
-            "target_built_publicly": self.bob_branch.to_dict(),
-        }
+    success_rate: float
+    mean_output_size: float
+    approx_factor: float
+    unique_triple_rate: float
+    target_built_privately: BranchStats
+    target_built_publicly: BranchStats
 
 
 def _run_sample(
@@ -455,15 +417,18 @@ def _run_sample(
     return size, correct, g.alice_built_target
 
 
-def _branch(outcomes: Counter, private: bool) -> BranchStats:
-    """Totals over the samples whose target was (or was not) built privately."""
+def _totals(outcomes: Counter, private: bool | None = None) -> BranchStats:
+    """Totals over the samples whose target was built privately (True),
+    publicly (False), or over every sample (None)."""
     samples = successes = size_sum = 0
     for (size, correct, built_privately), n in outcomes.items():
-        if built_privately == private:
+        if private is None or built_privately == private:
             samples += n
             successes += correct * n
             size_sum += size * n
-    return BranchStats(samples, successes, size_sum)
+    if not samples:
+        return BranchStats(0, 0.0, 0.0)
+    return BranchStats(samples, successes / samples, size_sum / samples)
 
 
 def simulate_protocol(
@@ -496,14 +461,16 @@ def simulate_protocol(
     # A callable may not pickle, so only a registry name runs in parallel.
     workers = threads if isinstance(algorithm, str) else 1
     outcomes = map_trials(_run_sample, (t, algorithm, seed), samples, workers)
-    alice = _branch(outcomes, True)
-    bob = _branch(outcomes, False)
+    total = _totals(outcomes)
+    triples = sum(n for (size, _, _), n in outcomes.items() if size == 3)
     return ProtocolStats(
         t=t,
+        n=t + 2,
         samples=samples,
-        successes=alice.successes + bob.successes,
-        size_sum=alice.size_sum + bob.size_sum,
-        triple_count=sum(n for (size, _, _), n in outcomes.items() if size == 3),
-        alice_branch=alice,
-        bob_branch=bob,
+        success_rate=total.success_rate,
+        mean_output_size=total.mean_output_size,
+        approx_factor=total.mean_output_size / 3.0,
+        unique_triple_rate=triples / samples,
+        target_built_privately=_totals(outcomes, True),
+        target_built_publicly=_totals(outcomes, False),
     )

@@ -110,7 +110,7 @@ def test_c05_substream_monotonicity_thousand_pairs():
     clock = Stopwatch(30.0)
     result = substream_monotonicity_test(1000, SEED)
     assert result.trials == 1000
-    assert result.violation_count == 0
+    assert result.violations == 0
     clock.check()
     report(5, f"1000 stream/substream pairs, 0 violations in {clock.elapsed:.1f}s")
 

@@ -9,12 +9,13 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intervalsel import gadget as gadget_mod, restricted
+from intervalsel import gadget as gadget_mod, harness, restricted
 from intervalsel.cli import dispatch
 from intervalsel.gadget import MAX_T
 from intervalsel.harness import MAX_GADGET_T
@@ -89,6 +90,31 @@ GOLDEN_PATH_STDOUT = {
         "c91de43e9043cf4d8364cde18b674aa85b7c2af4587055dec17de38e33f5cdcb",
     ),
 }
+# stdout SHA-256 of report paths that the tables above leave out, recorded
+# before the report records lost their hand-written dict conversions.
+GOLDEN_REPORT_STDOUT = {
+    "gadget-first": (
+        [
+            "gadget", "--t", "10", "--simulate", "--algorithm", "first",
+            "--samples", "200", "--seed", "5", "--threads", "1",
+        ],
+        "e40b425d901544622d5328ccc309272dcf700ca88fa83fbb9c6a5c8222ede09e",
+    ),
+    "montecarlo-windowed": (
+        [
+            "montecarlo", "--kind", "gadget", "--t", "6", "--delta", "5",
+            "--trials", "20", "--seed", "3", "--threads", "1",
+            "--algorithm", "windowed",
+        ],
+        "8ea2e0d9b2e12b8f6285636450489f88595a35acb1339c58d1db4e827e79b27e",
+    ),
+}
+# substream-test against an engine whose output shrinks as its stream grows,
+# so that most trials violate: 40 trials, seed 7, exit status 1, and the first
+# five violations in trial order as examples; recorded with the table above.
+GOLDEN_VIOLATIONS_STDOUT = (
+    "8c6f0c166fe29ed5176aa6ab1e857a44c1a975f948ceec07bed8114f2f717082"
+)
 # the input of the "run-*" entries: 60 lefts on the quarter grid in [0, 10)
 GOLDEN_STREAM = "\n".join(f"{(7 * j) % 40}/4" for j in range(60)) + "\n"
 
@@ -162,11 +188,11 @@ GOLDEN_CONFIG = {
         '{"delta": 4, "input": "intervals.txt", "intervals": 3, '
         '"order": "shuffle", "seed": 7, "subcommand": "run", "unrestricted": true}',
     ),
+    # recorded again when --verify came to refuse the --simulate options
     "gadget-verify": (
-        "gadget --t 12 --verify --seed 7 --threads 1",
-        '{"algorithm": "oracle", "exhaustive": false, "index": 6, '
-        '"samples": 1000, "seed": 7, "simulate": false, "subcommand": "gadget", '
-        '"t": 12, "threads": 1, "verify": true}',
+        "gadget --t 12 --verify --seed 7",
+        '{"exhaustive": false, "index": 6, "seed": 7, "simulate": false, '
+        '"subcommand": "gadget", "t": 12, "verify": true}',
     ),
     "gadget-simulate": (
         "gadget --t 6 --simulate --algorithm windowed:6 --samples 3 --seed 7 --threads 1",
@@ -180,6 +206,13 @@ GOLDEN_CONFIG = {
 INAPPLICABLE_OPTIONS = {
     "run-delta-with-domain": [
         "run", "--domain", "0,7", "--delta", "3", "--input", "intervals.txt",
+    ],
+    "run-seed-with-given-order": [
+        "run", "--domain", "0,5", "--input", "intervals.txt", "--seed", "9",
+    ],
+    "run-seed-unshuffled-unrestricted": [
+        "run", "--unrestricted", "--delta", "4", "--input", "intervals.txt",
+        "--seed", "9",
     ],
     **{
         f"montecarlo-{option[2:]}-{kind}": [
@@ -202,6 +235,14 @@ INAPPLICABLE_OPTIONS = {
         for option, value in [
             ("--index", ["2"]), ("--xbits", ["f"]), ("--ybits", ["f"]),
             ("--exhaustive", []),
+        ]
+    },
+    **{
+        f"gadget-verify-{option[2:]}": [
+            "gadget", "--t", "4", "--verify", option, value, "--seed", SEED,
+        ]
+        for option, value in [
+            ("--samples", "7"), ("--algorithm", "first"), ("--threads", "1"),
         ]
     },
 }
@@ -851,6 +892,39 @@ class TestInapplicableOptions:
         assert err.splitlines()[-1].startswith("usage error:")
 
 
+class TestSeedRange:
+    # seeds alias modulo 2**64 in the generator, so one outside is refused
+    COMMANDS = {
+        "montecarlo": [
+            "montecarlo", "--alpha", "2", "--delta", "4", "--trials", "2", "--threads", "1",
+        ],
+        "gadget-verify": ["gadget", "--t", "4", "--verify"],
+        "gadget-simulate": [
+            "gadget", "--t", "4", "--simulate", "--samples", "2", "--threads", "1",
+        ],
+        "substream-test": ["substream-test", "--trials", "2"],
+        "run-shuffle": [
+            "run", "--domain", "0,5", "--order", "shuffle", "--input", "intervals.txt",
+        ],
+    }
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_seed_outside_64_bits_is_refused(self, command, seed, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "intervals.txt").write_text("0\n2\n")
+        code, out, err = run_cli([*self.COMMANDS[command], "--seed", seed], capsys)
+        assert code == 2
+        assert out == ""
+        assert "usage error: --seed must lie in [0, 2**64)" in err
+
+    def test_largest_seed_runs(self, capsys):
+        code, out, _ = run_cli(
+            ["substream-test", "--trials", "2", "--seed", str((1 << 64) - 1)], capsys
+        )
+        assert (code, json.loads(out)["violations"]) == (0, 0)
+
+
 class TestSubstream:
     def test_clean_report(self, capsys):
         code, out, _ = run_cli(
@@ -859,6 +933,18 @@ class TestSubstream:
         assert code == 0
         payload = json.loads(out)
         assert payload == {"trials": 40, "violations": 0, "examples": []}
+
+    def test_violation_report(self, monkeypatch, capsys):
+        def shrinking(delta, stream):
+            return types.SimpleNamespace(output=[None] * (10 - len(stream)))
+
+        monkeypatch.setattr(harness, "run_restricted", shrinking)
+        code, out, _ = run_cli(["substream-test", "--trials", "40", "--seed", "7"], capsys)
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VIOLATIONS_STDOUT
+        payload = json.loads(out)
+        trials = [example["trial"] for example in payload["examples"]]
+        assert trials == sorted(trials) and len(trials) == 5 < payload["violations"]
 
 
 class TestSubstreamTrials:
@@ -873,9 +959,13 @@ class TestSubstreamTrials:
 
 
 class TestTrialGoldenStdout:
-    @pytest.mark.parametrize("name", [*GOLDEN_TRIAL_STDOUT, *GOLDEN_PATH_STDOUT])
+    @pytest.mark.parametrize(
+        "name", [*GOLDEN_TRIAL_STDOUT, *GOLDEN_PATH_STDOUT, *GOLDEN_REPORT_STDOUT]
+    )
     def test_golden_stdout(self, name, tmp_path, capsys):
-        args, digest = {**GOLDEN_TRIAL_STDOUT, **GOLDEN_PATH_STDOUT}[name]
+        args, digest = {
+            **GOLDEN_TRIAL_STDOUT, **GOLDEN_PATH_STDOUT, **GOLDEN_REPORT_STDOUT
+        }[name]
         if args[0] == "run":
             path = tmp_path / "stream.txt"
             path.write_text(GOLDEN_STREAM)

@@ -193,11 +193,11 @@ class TestProtocol:
     def test_oracle_baseline(self):
         stats = simulate_protocol(10, 3000, "oracle", seed=SEED)
         assert stats.approx_factor == 1.0
-        assert stats.triple_count == stats.samples
+        assert stats.unique_triple_rate == 1.0
         assert abs(stats.success_rate - 2 / 3) <= 0.03
         # private branch decodes perfectly; public branch is a coin flip
-        assert stats.alice_branch.success_rate == 1.0
-        assert abs(stats.bob_branch.success_rate - 0.5) <= 0.04
+        assert stats.target_built_privately.success_rate == 1.0
+        assert abs(stats.target_built_publicly.success_rate - 0.5) <= 0.04
 
     def test_first_only_baseline(self):
         stats = simulate_protocol(10, 3000, "first", seed=SEED)
@@ -211,8 +211,9 @@ class TestProtocol:
 
     def test_branch_sample_accounting(self):
         stats = simulate_protocol(7, 900, "oracle", seed=SEED)
-        assert stats.alice_branch.samples + stats.bob_branch.samples == 900
-        assert abs(stats.alice_branch.samples / 900 - 1 / 3) <= 0.05
+        private = stats.target_built_privately.samples
+        assert private + stats.target_built_publicly.samples == 900
+        assert abs(private / 900 - 1 / 3) <= 0.05
 
     def test_parallel_matches_serial(self):
         serial = simulate_protocol(6, 300, "oracle", seed=SEED, threads=1)
@@ -236,7 +237,7 @@ class TestProtocol:
         stats = simulate_protocol(5, 50, wings_only, seed=SEED)
         assert stats == simulate_protocol(5, 50, wings_only, seed=SEED, threads=2)
         assert stats.mean_output_size == 2.0
-        assert stats.triple_count == 0
+        assert stats.unique_triple_rate == 0.0
 
     def test_resolve_algorithm_names(self):
         assert resolve_algorithm("oracle") is not None

@@ -198,15 +198,15 @@ class TestMonteCarlo:
     def test_summary_invariants(self):
         spec = InstanceSpec(kind="independent", delta=5, seed=SEED, alpha=3)
         s = monte_carlo(spec, 500)
-        assert s.min_size <= s.mean <= s.max_size <= s.alpha
+        assert s.min <= s.mean <= s.max <= s.alpha
         assert s.trials == 500
 
     def test_gadget_kind_runs_restricted(self):
         spec = InstanceSpec(kind="gadget", delta=5, seed=SEED, t=5)
         summary = monte_carlo(spec, 150)
         assert summary.alpha == 3
-        assert summary.max_size <= 3
-        assert summary.min_size >= 1
+        assert summary.max <= 3
+        assert summary.min >= 1
 
     def test_parallel_matches_serial(self):
         # 3 trials take the serial fallback; 4 and 5 are the smallest pool
@@ -290,7 +290,7 @@ class TestSubstreamMonotonicity:
     def test_no_violations(self):
         report = substream_monotonicity_test(200, SEED)
         assert report.trials == 200
-        assert report.violation_count == 0
+        assert report.violations == 0
 
     def test_identity_and_empty_substreams(self):
         # mode selection inside the driver covers S' = S and S' = empty;

@@ -76,7 +76,7 @@ def records():
         "MonotonicityReport": substream_monotonicity_test(3, SEED),
         "GadgetInstance": gadget,
         "VerificationReport": verify(gadget),
-        "BranchStats": stats.alice_branch,
+        "BranchStats": stats.target_built_privately,
         "ProtocolStats": stats,
         "OutTable": table,
         "FactorRow": curve.rows[0],
@@ -118,8 +118,8 @@ class TestTrialSummary:
         trials=4,
         mean=2.0,
         std=0.5,
-        min_size=1,
-        max_size=3,
+        min=1,
+        max=3,
         alpha=3,
         empirical_factor=2 / 3,
         predicted_bound=2.0,
@@ -128,7 +128,9 @@ class TestTrialSummary:
     )
 
     def test_ordered_fields_are_accepted(self):
-        assert TrialSummary(**self.FIELDS).to_dict()["min"] == 1
+        # the field order is the CSV column order
+        assert TrialSummary(**self.FIELDS)._asdict() == self.FIELDS
+        assert TrialSummary._fields == tuple(self.FIELDS)
 
     # each replaces the trials' counts of output sizes with one that reaches
     # above alpha = 2, which monte_carlo refuses as it builds the summary
