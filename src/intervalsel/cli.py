@@ -19,17 +19,26 @@ refused, and so is a seed outside [0, 2**64).  A JSON report is its result
 record, field by field.
 
 Each handler imports the modules it runs, so a run compiles and loads only
-those: ``dp`` loads ``recurrence``; ``run`` loads ``restricted`` and ``rng``,
-and ``windows`` with --unrestricted; ``gadget`` loads ``gadget`` and ``rng``,
-and ``windows`` and ``restricted`` only to simulate ``windowed:DELTA``;
-``montecarlo`` and ``substream-test`` load ``harness``, which brings every
-other module.  ``geometry`` declares the errors ``dispatch`` maps, so every
+those: ``dp`` loads ``recurrence`` and numpy; ``run`` loads ``restricted``
+and ``rng``, and ``windows`` with --unrestricted; ``gadget`` loads
+``gadget`` and ``rng``, and ``windows`` and ``restricted`` only to simulate
+``windowed:DELTA``; ``montecarlo`` and ``substream-test`` load ``harness``,
+which brings every other module.  ``geometry`` declares the errors ``dispatch`` maps, so every
 run loads it.
+
+``main`` turns the cyclic garbage collector off for the process before it
+dispatches.  Every state of the engine points only down, to intervals and
+to grids, so reference counting frees a run once its instance is dropped,
+and the collector would only rescan the growing state DAG
+(``tests/test_restricted.py`` pins that the engine's paths leave no
+cycles).  ``dispatch``, which tests and library callers run in-process,
+leaves the collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -135,10 +144,14 @@ def _cmd_dp(args) -> int:
 
     _echo_config(_options(args))
     start = time.perf_counter()
+    import numpy  # noqa: F401  (the table build's import, timed on its own)
+
+    imported = time.perf_counter()
     table = recurrence.build_out_table(hi - 1)
     metrics = {
         "x_max": table.x_max,
-        "build_s": time.perf_counter() - start,
+        "numpy_import_s": imported - start,
+        "build_s": time.perf_counter() - imported,
         "max_rel_disagreement": table.max_rel_disagreement,
         "ratio_violations": len(table.ratio_violations),
     }
@@ -499,6 +512,7 @@ def dispatch(argv) -> int:
 
 
 def main() -> None:
+    gc.disable()  # the engine makes no reference cycles: see the module docstring
     sys.exit(dispatch(sys.argv[1:]))
 
 

@@ -46,6 +46,12 @@ once.  An update reads only the state's own fields, so only the order
 within a state is observable, and it is the tree's: slot update, then the
 conditional feed judged against the updated slot.
 
+The DAG holds no reference cycles: a grid points to its states, a state to
+its two intervals and its two conditional grids, and nothing points back
+up.  Reference counting alone frees an instance once it is dropped, which
+is why the CLI can run with the cyclic garbage collector off;
+``TestNoReferenceCycles`` in the tests pins it for every engine path.
+
 The end-of-stream pass visits each distinct state once and writes into
 it only sizes: the best candidate size, its split point and side, and the
 two counters below.  It fills each grid shortest domain first, and a

@@ -14,6 +14,7 @@ over trials, and callers give it a function of one trial.
 
 from __future__ import annotations
 
+import gc
 import os
 from collections import Counter
 
@@ -75,7 +76,10 @@ def map_trials(trial, args: tuple, n: int, threads: int) -> Counter:
     shares (a grid over budget) is raised before a pool starts; trials
     1..n-1 are split into about ``4 * threads`` blocks, each counted by
     ``_count`` in a process pool of min(threads, blocks, CPU count)
-    workers, which needs ``trial`` and ``args`` to be picklable.  The pool
+    workers, which needs ``trial`` and ``args`` to be picklable.  The
+    workers take this process's collector state whatever the start method:
+    a fork inherits it, and a spawned or forkserver worker disables its
+    collector first when this process runs without one.  The pool
     module, and ``multiprocessing`` with it, is imported only here, so a
     serial run never loads it.
     """
@@ -89,7 +93,8 @@ def map_trials(trial, args: tuple, n: int, threads: int) -> Counter:
     stops = [min(s + chunk, n) for s in starts]
     m = len(starts)
     workers = min(threads, m, os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    init = None if gc.isenabled() else gc.disable
+    with ProcessPoolExecutor(max_workers=workers, initializer=init) as pool:
         return sum(pool.map(_count, [trial] * m, [args] * m, starts, stops), first)
 
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intervalsel import gadget as gadget_mod, harness, restricted
+from intervalsel import cli, gadget as gadget_mod, harness, restricted
 from intervalsel.cli import dispatch
 from intervalsel.gadget import MAX_T
 from intervalsel.harness import MAX_GADGET_T
@@ -416,6 +417,41 @@ class TestDispatch:
         assert code == 2
 
 
+@pytest.fixture
+def collector_state():
+    """Restores the cyclic collector's state after the test."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCyclicCollector:
+    ARGS = ["gadget", "--t", "5", "--verify", "--seed", "1"]
+
+    def test_main_leaves_the_collector_disabled(
+        self, collector_state, monkeypatch, capsys
+    ):
+        exits = []
+        monkeypatch.setattr(sys, "argv", ["intervalsel", *self.ARGS])
+        monkeypatch.setattr(sys, "exit", exits.append)
+        gc.enable()
+        cli.main()
+        assert not gc.isenabled()
+        assert exits == [0]
+        assert capsys.readouterr().out == run_cli(self.ARGS, capsys)[1]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_dispatch_leaves_the_collector_as_it_was(
+        self, collector_state, enabled, capsys
+    ):
+        (gc.enable if enabled else gc.disable)()
+        assert run_cli(self.ARGS, capsys)[0] == 0
+        assert gc.isenabled() == enabled
+
+
 class TestDp:
     def test_single_delta_csv(self, capsys):
         code, out, err = run_cli(["dp", "--delta", "4"], capsys)
@@ -500,12 +536,14 @@ class TestDp:
         assert label == "metrics:"
         metrics = json.loads(text)
         assert list(metrics) == [
-            "build_s", "max_rel_disagreement", "ratio_violations", "x_max"
+            "build_s", "max_rel_disagreement", "numpy_import_s",
+            "ratio_violations", "x_max",
         ]
         assert metrics["x_max"] == 299
         assert metrics["max_rel_disagreement"] <= 1e-9
         assert metrics["ratio_violations"] == 0
         assert metrics["build_s"] >= 0
+        assert metrics["numpy_import_s"] >= 0
 
     def test_unallocatable_table_is_a_data_error(self):
         # The address-space cap makes the 745 GiB table fail to allocate

@@ -1,4 +1,6 @@
 import concurrent.futures
+import gc
+import multiprocessing
 import os
 from fractions import Fraction
 
@@ -17,7 +19,7 @@ from intervalsel.harness import (
     substream_monotonicity_test,
 )
 from intervalsel.restricted import GridBudgetError
-from intervalsel.rng import SplitMix64, derive, fisher_yates, mix64
+from intervalsel.rng import SplitMix64, derive, fisher_yates, map_trials, mix64
 
 from brute import random_intervals, u
 
@@ -30,7 +32,7 @@ class InProcessPool:
 
     workers: list[int] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.workers.append(max_workers)
 
     def __enter__(self):
@@ -58,6 +60,31 @@ class TestRng:
     def test_mix64_is_stable(self):
         # Pinned so any change to the generator is loud.
         assert mix64(0x123456789ABCDEF) == 0xB2C058E4EBB5112C
+
+
+def _collector_enabled(k: int) -> bool:
+    return gc.isenabled()
+
+
+class TestMapTrials:
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_workers_take_the_parents_collector_state(self, method, monkeypatch):
+        # A fork inherits the collector state; spawn and forkserver (the
+        # Linux default from Python 3.14) start a fresh interpreter.
+        pool = concurrent.futures.ProcessPoolExecutor
+
+        def pool_of_method(**kwargs):
+            return pool(mp_context=multiprocessing.get_context(method), **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool_of_method)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            outcomes = map_trials(_collector_enabled, (), 6, threads=2)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert outcomes == {False: 6}
 
 
 class TestShuffle:

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intervalsel import restricted
+from intervalsel import gadget, harness, restricted, windows
 from intervalsel.geometry import Domain, alpha
 from intervalsel.harness import gen_independent
 from intervalsel.restricted import (
@@ -75,6 +75,69 @@ class TestInstanceBasics:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _instance_with_mid_stream_output():
+    stream = fisher_yates(gen_independent(8, 9, seed=3), SplitMix64(4))
+    inst = InstanceState(wrapper_domain(9))
+    for iv in stream[:4]:
+        inst.feed(iv)
+    inst.output()
+    for iv in stream[4:]:
+        inst.feed(iv)
+    assert len(inst.output().output) >= 1
+
+
+def _windows():
+    stream = random_intervals(SplitMix64(5), 30, 60)
+    wm = windows.WindowMap(5)
+    for iv in stream:
+        wm.feed(iv)
+    wm.merge_output()
+    assert len(windows.run_windowed(5, stream)) >= 1
+
+
+def _monte_carlo(algorithm):
+    spec = harness.InstanceSpec(kind="independent", delta=7, seed=6, alpha=5)
+    assert harness.monte_carlo(spec, 6, algorithm=algorithm).trials == 6
+
+
+def _caught_domain_error():
+    inst = InstanceState(Domain(0, 3))
+    inst.feed(u("1/2"))
+    try:
+        inst.feed(u(5))
+    except DomainError:
+        pass
+
+
+ENGINE_PATHS = {
+    "instance": _instance_with_mid_stream_output,
+    "windows": _windows,
+    "monte_carlo_restricted": lambda: _monte_carlo("restricted"),
+    "monte_carlo_windowed": lambda: _monte_carlo("windowed"),
+    "gadget_windowed": lambda: gadget.simulate_protocol(8, 4, "windowed:6", seed=7),
+    "substream": lambda: harness.substream_monotonicity_test(4, seed=8),
+    "domain_error": _caught_domain_error,
+}
+
+
+class TestNoReferenceCycles:
+    """Each engine path leaves nothing for the cyclic collector: states point
+    only down, so reference counting frees a run, and the CLI runs with the
+    collector off."""
+
+    @pytest.mark.parametrize("path", sorted(ENGINE_PATHS))
+    def test_path_leaves_no_cycles(self, path):
+        was_enabled = gc.isenabled()
+        gc.collect()  # one-time import cycles (numpy's, say) do not count
+        gc.disable()
+        try:
+            ENGINE_PATHS[path]()
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 def _grid_cells(grid) -> int:
