@@ -23,8 +23,8 @@ those: ``dp`` loads ``recurrence`` and numpy; ``run`` loads ``restricted``
 and ``rng``, and ``windows`` with --unrestricted; ``gadget`` loads
 ``gadget`` and ``rng``, and ``windows`` and ``restricted`` only to simulate
 ``windowed:DELTA``; ``montecarlo`` and ``substream-test`` load ``harness``,
-which brings every other module.  ``geometry`` declares the errors ``dispatch`` maps, so every
-run loads it.
+which brings every other module.  ``geometry`` declares the errors
+``dispatch`` maps, so every run loads it.
 
 ``main`` turns the cyclic garbage collector off for the process before it
 dispatches.  Every state of the engine points only down, to intervals and
