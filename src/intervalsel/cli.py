@@ -14,7 +14,8 @@ parsed, lies outside the domain, a run exceeds the grid-cell budget of
 The ``config:`` line is every parsed option, plus what the run resolved:
 the seed, ``run``'s interval count, the index that ``gadget --verify``
 drew, and the samples, algorithm and threads that ``gadget --simulate``
-defaults when they are not given.  An option the run would ignore is
+defaults when they are not given, as ``montecarlo`` does its threads (the
+CPUs the process may run on, ``rng.cpu_count()``).  An option the run would ignore is
 refused, and so is a seed outside [0, 2**64).  A JSON report is its result
 record, field by field.
 
@@ -125,6 +126,10 @@ def _add_dp(sub) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+# The dp output columns, one per ``recurrence.FactorRow`` field, in order.
+DP_COLUMNS = ("delta", "restricted_factor", "overall_factor", "binding_alpha")
+
+
 def _cmd_dp(args) -> int:
     from . import recurrence
 
@@ -184,23 +189,13 @@ def _cmd_dp(args) -> int:
     )
 
     if args.format == "csv":
-        print("delta,restricted_factor,overall_factor,binding_alpha")
+        print(",".join(DP_COLUMNS))
         for row in curve.rows:
-            print(
-                f"{row.delta},{_fmt(row.restricted)},{_fmt(row.overall)},{row.binding_alpha}"
-            )
+            print(",".join(_fmt(v) for v in row))
     else:
         _emit_json(
             {
-                "rows": [
-                    {
-                        "delta": row.delta,
-                        "restricted_factor": row.restricted,
-                        "overall_factor": row.overall,
-                        "binding_alpha": row.binding_alpha,
-                    }
-                    for row in curve.rows
-                ],
+                "rows": [dict(zip(DP_COLUMNS, row)) for row in curve.rows],
                 "notes": list(curve.notes),
                 "overall_monotone": curve.overall_monotone,
                 "barrier_adversarial": curve.barrier_adversarial,
@@ -300,14 +295,16 @@ def _add_montecarlo(sub) -> None:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--algorithm", choices=("restricted", "windowed"), default="restricted")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, help="default: CPU count")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _cmd_montecarlo(args) -> int:
     from . import harness
+    from .rng import cpu_count
 
-    _check_threads(args.threads)
+    threads = cpu_count() if args.threads is None else args.threads
+    _check_threads(threads)
     seed = _resolve_seed(args.seed)
     spec = harness.InstanceSpec(
         kind=args.kind,
@@ -319,7 +316,7 @@ def _cmd_montecarlo(args) -> int:
         path=args.input,
         aligned=args.aligned,
     )
-    _echo_config(_options(args, seed=seed))
+    _echo_config(_options(args, seed=seed, threads=threads))
     intervals = harness.instance_from_spec(spec)
     if len(intervals) >= 5 and harness.consecutive_floor_packing(intervals):
         print(
@@ -333,7 +330,7 @@ def _cmd_montecarlo(args) -> int:
         spec,
         args.trials,
         algorithm=args.algorithm,
-        threads=args.threads,
+        threads=threads,
         intervals=intervals,
     )
     if args.format == "csv":
@@ -379,6 +376,7 @@ def _parse_bits(hex_text: str | None, t: int, rng) -> tuple[int, ...]:
 
 def _cmd_gadget(args) -> int:
     from . import gadget as gadget_mod
+    from .rng import SplitMix64, cpu_count
 
     if args.verify == args.simulate:
         raise UsageError("give exactly one of --verify or --simulate")
@@ -392,8 +390,6 @@ def _cmd_gadget(args) -> int:
     seed = _resolve_seed(args.seed)
 
     if args.verify:
-        from .rng import SplitMix64
-
         rng = SplitMix64(seed)
         xbits = _parse_bits(args.xbits, args.t, rng)
         index = args.index if args.index is not None else rng.below(args.t)
@@ -409,7 +405,7 @@ def _cmd_gadget(args) -> int:
     simulation = {
         "samples": 1000 if args.samples is None else args.samples,
         "algorithm": "oracle" if args.algorithm is None else args.algorithm,
-        "threads": (os.cpu_count() or 1) if args.threads is None else args.threads,
+        "threads": cpu_count() if args.threads is None else args.threads,
     }
     _check_threads(simulation["threads"])
     _echo_config(_options(args, seed=seed, **simulation))

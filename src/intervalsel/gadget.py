@@ -159,29 +159,26 @@ def build(
         raise ValueError(f"index must lie in [0, {t})")
     if len(alice_bits) != t or len(public_bits) != t:
         raise ValueError("bit vectors must have length t")
-    if any(b not in (0, 1) for b in alice_bits) or any(
-        b not in (0, 1) for b in public_bits
-    ):
+    if any(b not in (0, 1) for b in (*alice_bits, *public_bits)):
         raise ValueError("bit vectors must be 0/1")
     if sorted(sigma) != list(range(t + 2)):
         raise ValueError("sigma must be a bijection onto positions 0..t+1")
 
-    wing_left_pos = sigma[t]
-    wing_right_pos = sigma[t + 1]
-    j_prime = min(wing_left_pos, wing_right_pos)
+    j_prime = min(sigma[t], sigma[t + 1])
 
+    # Each left end is one fraction, which Scalar reduces before its range
+    # check: I[i] over t**2 (t+1), the wings over t**3 (t+1), where
+    # 1/t**2 + 1/t**3 = (t+1)**2 / (t**3 (t+1)).
     t_sq = t * t
     t_cu = t_sq * t
     clique = []
     for i in range(t):
         bit = alice_bits[i] if sigma[i] < j_prime else public_bits[i]
-        left = Scalar(i, t + 1) + Scalar(bit, t_sq)
-        clique.append(UnitInterval(left))
+        clique.append(UnitInterval(Scalar(i * t_sq + bit * (t + 1), t_sq * (t + 1))))
 
-    base = Scalar(index, t + 1)
-    one = Scalar(1)
-    wing_left = UnitInterval(base - Scalar(1, t_cu) - one)
-    wing_right = UnitInterval(base + Scalar(1, t_sq) + Scalar(1, t_cu) + one)
+    den = t_cu * (t + 1)
+    wing_left = UnitInterval(Scalar(index * t_cu - (t + 1) - den, den))
+    wing_right = UnitInterval(Scalar(index * t_cu + (t + 1) ** 2 + den, den))
 
     return GadgetInstance(
         t=t,
@@ -189,8 +186,8 @@ def build(
         alice_bits=tuple(alice_bits),
         public_bits=tuple(public_bits),
         clique_positions=tuple(sigma[:t]),
-        wing_left_position=wing_left_pos,
-        wing_right_position=wing_right_pos,
+        wing_left_position=sigma[t],
+        wing_right_position=sigma[t + 1],
         clique=tuple(clique),
         wing_left=wing_left,
         wing_right=wing_right,
@@ -383,7 +380,9 @@ def _run_sample(
 ) -> tuple[int, bool, bool]:
     """Protocol round k: returns (output size, bit correct, target built privately).
 
-    A registry name is resolved here, so only the name crosses to a worker.
+    A size-3 output must be the stream's {J_L, I[A], J_R}; any other raises
+    GadgetInvariantError.  A registry name is resolved here, so only the name
+    crosses to a worker.
     """
     fn = resolve_algorithm(algorithm) if isinstance(algorithm, str) else algorithm
     rng = derive(seed, k)
@@ -394,26 +393,10 @@ def _run_sample(
     if size > 3:
         raise GadgetInvariantError(f"algorithm produced size {size} > alpha = 3")
 
-    base = Scalar(g.index, g.t + 1)
-    shifted = base + Scalar(1, g.t * g.t)
-    target_left = None
-    if size == 3:
-        lefts = {iv.left for iv in output}
-        want = {g.wing_left.left, g.wing_right.left}
-        clique_lefts = lefts - want
-        if lefts & want != want or len(clique_lefts) != 1:
-            raise GadgetInvariantError(
-                "size-3 output is not the wings plus one clique interval"
-            )
-        (target_left,) = clique_lefts
-        if target_left != base and target_left != shifted:
-            raise GadgetInvariantError("size-3 output kept a non-target clique interval")
-
-    if size == 3 and g.alice_built_target:
-        recovered = 0 if target_left == base else 1
-    else:
-        recovered = rng.bit()
-    correct = recovered == g.alice_bits[g.index]
+    if size == 3 and set(output) != {g.wing_left, g.clique[g.index], g.wing_right}:
+        raise GadgetInvariantError("size-3 output is not the stream's {J_L, I[A], J_R}")
+    # A triple whose I[A] Alice built carries her bit; otherwise a coin decides.
+    correct = (size == 3 and g.alice_built_target) or rng.bit() == g.alice_bits[g.index]
     return size, correct, g.alice_built_target
 
 

@@ -1,9 +1,10 @@
 """Exact interval primitives and the offline independent-set oracle.
 
 Coordinates are reduced rationals confined to the signed 64-bit range.
-Arithmetic that would leave that range raises instead of wrapping or
-silently falling back to floats, so every geometric predicate in this
-package is exact by construction.
+They are built once, compared with each other and shifted by integers;
+a construction or a shift that would leave that range raises instead of
+wrapping or silently falling back to floats, so every geometric predicate
+in this package is exact by construction.
 
 The four value types share one protocol, written once in ``_Value``: they
 are immutable after construction, and they pickle, compare, hash and print
@@ -100,10 +101,11 @@ class _Value:
 class Scalar(_Value):
     """A reduced rational with 64-bit numerator and positive 64-bit denominator.
 
-    Always stored with gcd(|num|, den) = 1 and den > 0.  Operands are
-    Scalars only.  Results of + and - are range-checked; comparisons are
-    exact (intermediate cross products are computed with Python integers and
-    never stored).  Equality and hashing are the base's, on ``(num, den)``;
+    Always stored with gcd(|num|, den) = 1 and den > 0; the range is checked
+    after reduction, so a construction that leaves it raises.  ``<`` is the
+    one ordering and is exact (the cross products are Python integers, never
+    stored); ``a > b`` is Python's reflection, ``b < a``.  Its operands are
+    Scalars only.  Equality and hashing are the base's, on ``(num, den)``;
     a sort by left endpoint calls only ``<``.
     """
 
@@ -156,25 +158,10 @@ class Scalar(_Value):
     def floor(self) -> int:
         return self.num // self.den
 
-    def __add__(self, other: "Scalar") -> "Scalar":
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return Scalar(self.num * other.den - other.num * self.den, self.den * other.den)
-
     def __lt__(self, other) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.num * other.den < other.num * self.den
-
-    def __gt__(self, other) -> bool:
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.num * other.den > other.num * self.den
 
     def __str__(self) -> str:
         return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"

@@ -61,6 +61,14 @@ def derive(seed: int, index: int) -> SplitMix64:
     return SplitMix64(mix64((seed & MASK64) ^ mix64(index + 1)))
 
 
+def cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one (a ``taskset`` or a cpuset narrows it), else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _count(trial, args: tuple, start: int, stop: int) -> Counter:
     """Counts of the outcomes ``trial(*args, k)`` for k in start..stop-1."""
     return Counter(trial(*args, k) for k in range(start, stop))
@@ -75,7 +83,7 @@ def map_trials(trial, args: tuple, n: int, threads: int) -> Counter:
     ``n < 4``.  Otherwise trial 0 runs here first, so an error every trial
     shares (a grid over budget) is raised before a pool starts; trials
     1..n-1 are split into about ``4 * threads`` blocks, each counted by
-    ``_count`` in a process pool of min(threads, blocks, CPU count)
+    ``_count`` in a process pool of min(threads, blocks, ``cpu_count()``)
     workers, which needs ``trial`` and ``args`` to be picklable.  The
     workers take this process's collector state whatever the start method:
     a fork inherits it, and a spawned or forkserver worker disables its
@@ -92,7 +100,7 @@ def map_trials(trial, args: tuple, n: int, threads: int) -> Counter:
     starts = range(1, n, chunk)
     stops = [min(s + chunk, n) for s in starts]
     m = len(starts)
-    workers = min(threads, m, os.cpu_count() or 1)
+    workers = min(threads, m, cpu_count())
     init = None if gc.isenabled() else gc.disable
     with ProcessPoolExecutor(max_workers=workers, initializer=init) as pool:
         return sum(pool.map(_count, [trial] * m, [args] * m, starts, stops), first)

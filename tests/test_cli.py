@@ -737,6 +737,24 @@ class TestMonteCarlo:
             f"usage error: --threads must be at least 1, got {threads}"
         )
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["montecarlo", "--alpha", "2", "--delta", "4", "--trials", "8"],
+            ["gadget", "--t", "4", "--simulate", "--samples", "8"],
+        ],
+    )
+    def test_default_threads_follow_the_affinity_set(self, command, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool started on one CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        code, _, err = run_cli([*command, "--seed", SEED], capsys)
+        assert code == 0
+        config = err.split("config:", 1)[1].splitlines()[0]
+        assert json.loads(config)["threads"] == 1
+
     def test_csv_report(self, capsys):
         code, out, _ = run_cli(
             [

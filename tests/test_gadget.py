@@ -38,6 +38,10 @@ def frac(s: Scalar) -> Fraction:
     return Fraction(s.num, s.den)
 
 
+def scalar(f: Fraction) -> Scalar:
+    return Scalar(f.numerator, f.denominator)
+
+
 class TestBuild:
     def test_clique_coordinates(self):
         g = build(4, 2, [0, 0, 0, 0], [1, 1, 1, 1], IDENTITY_SIGMA_T4)
@@ -53,7 +57,7 @@ class TestBuild:
     def test_bit_shift_moves_interval(self):
         lo = build(4, 1, [0, 0, 0, 0], [0] * 4, IDENTITY_SIGMA_T4)
         hi = build(4, 1, [0, 1, 0, 0], [0] * 4, IDENTITY_SIGMA_T4)
-        assert frac(hi.clique[1].left - lo.clique[1].left) == Fraction(1, 16)
+        assert hi.clique[1].left == scalar(frac(lo.clique[1].left) + Fraction(1, 16))
 
     def test_public_bits_used_after_first_wing(self):
         # wings at positions 0 and 1: nothing is private
@@ -94,7 +98,7 @@ class TestBuild:
         t = MAX_T + 1
         # the bound is tight: J_R at index t - 1 leaves the 64-bit range
         with pytest.raises(ScalarOverflowError):
-            Scalar(t - 1, t + 1) + Scalar(1, t**2) + Scalar(1, t**3) + Scalar(1)
+            scalar(1 + Fraction(t - 1, t + 1) + Fraction(1, t**2) + Fraction(1, t**3))
         with pytest.raises(ValueError, match="64-bit"):
             build(t, 0, [0] * t, [0] * t, list(range(t + 2)))
         rng = SplitMix64(SEED)
@@ -107,7 +111,7 @@ class TestBuild:
         # J_R at index t - 1, moved into its lowest window of width 6 (origin
         # -3), leaves the 64-bit range; at t - 1 every coordinate stays below
         # (delta - 1) t**3 (t+1), which fits
-        left = Scalar(t - 1, t + 1) + Scalar(1, t**2) + Scalar(1, t**3) + Scalar(1)
+        left = scalar(1 + Fraction(t - 1, t + 1) + Fraction(1, t**2) + Fraction(1, t**3))
         with pytest.raises(ScalarOverflowError):
             UnitInterval(left).translate(delta - 3)
         check_window(t - 1, delta)
@@ -157,14 +161,14 @@ class TestVerify:
     def test_verify_rejects_tampered_clique_member(self):
         g = random_gadget(8, SplitMix64(SEED))
         for k in (0, g.index, g.t - 1):
-            others = [iv.left for j, iv in enumerate(g.clique) if j != k]
+            others = [frac(iv.left) for j, iv in enumerate(g.clique) if j != k]
             # just out of reach of one other member, on either side
             for left in (
-                min(others) + Scalar(1) + Scalar(1, 1 << 20),
-                max(others) - Scalar(1) - Scalar(1, 1 << 20),
+                min(others) + 1 + Fraction(1, 1 << 20),
+                max(others) - 1 - Fraction(1, 1 << 20),
             ):
                 clique = list(g.clique)
-                clique[k] = UnitInterval(left)
+                clique[k] = UnitInterval(scalar(left))
                 broken = g._replace(clique=tuple(clique))
                 with pytest.raises(GadgetInvariantError, match="fail to intersect"):
                     verify(broken)
@@ -238,6 +242,34 @@ class TestProtocol:
         assert stats == simulate_protocol(5, 50, wings_only, seed=SEED, threads=2)
         assert stats.mean_output_size == 2.0
         assert stats.unique_triple_rate == 0.0
+
+    def test_triple_outside_the_stream_is_refused(self):
+        def flipped_target(stream):
+            # J_L and J_R are the extreme intervals, and I[A] at
+            # A/(t+1) + b/t**2 is the one independent of both: keep it with
+            # the other bit, an interval the stream does not hold
+            t = len(stream) - 2
+            by_left = sorted(stream, key=lambda iv: iv.left)
+            wing_left, wing_right = by_left[0], by_left[-1]
+            (target,) = (
+                iv
+                for iv in by_left[1:-1]
+                if not intersects(iv, wing_left) and not intersects(iv, wing_right)
+            )
+            base = Fraction(int(frac(target.left) * (t + 1)), t + 1)
+            other_bit = int(frac(target.left) == base)
+            flipped = UnitInterval(scalar(base + Fraction(other_bit, t * t)))
+            return IndependentSet([wing_left, flipped, wing_right])
+
+        with pytest.raises(GadgetInvariantError, match="size-3 output"):
+            simulate_protocol(5, 20, flipped_target, seed=3)
+
+    def test_far_apart_triple_is_refused(self):
+        def far_apart(stream):
+            return IndependentSet(UnitInterval(Scalar(10 * k)) for k in range(3))
+
+        with pytest.raises(GadgetInvariantError, match="size-3 output"):
+            simulate_protocol(5, 20, far_apart, seed=3)
 
     def test_resolve_algorithm_names(self):
         assert resolve_algorithm("oracle") is not None

@@ -61,11 +61,6 @@ class TestScalar:
             Scalar.parse("1e1000")
 
     def test_overflow_is_an_error(self):
-        big = Scalar((1 << 62) + 1, 1)
-        with pytest.raises(ScalarOverflowError):
-            big + big
-        with pytest.raises(ScalarOverflowError):
-            Scalar(1, (1 << 62) + 1) + Scalar(1, (1 << 62) - 1)
         with pytest.raises(ScalarOverflowError):
             Scalar(1 << 63, 1)
 
@@ -73,11 +68,6 @@ class TestScalar:
         assert Scalar(7, 2).floor() == 3
         assert Scalar(-1, 2).floor() == -1
         assert Scalar(4).floor() == 4
-
-    @given(x=small_rational, y=small_rational)
-    def test_add_sub_round_trip(self, x, y):
-        sx, sy = Scalar(x.numerator, x.denominator), Scalar(y.numerator, y.denominator)
-        assert (sx + sy) - sy == sx
 
     @given(x=small_rational, y=small_rational)
     def test_ordering_matches_fractions(self, x, y):

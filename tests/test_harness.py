@@ -19,7 +19,14 @@ from intervalsel.harness import (
     substream_monotonicity_test,
 )
 from intervalsel.restricted import GridBudgetError
-from intervalsel.rng import SplitMix64, derive, fisher_yates, map_trials, mix64
+from intervalsel.rng import (
+    SplitMix64,
+    cpu_count,
+    derive,
+    fisher_yates,
+    map_trials,
+    mix64,
+)
 
 from brute import random_intervals, u
 
@@ -51,6 +58,13 @@ class TestRng:
         b = derive(SEED, 3)
         assert [a.next_u64() for _ in range(4)] == [b.next_u64() for _ in range(4)]
         assert derive(SEED, 3).next_u64() != derive(SEED, 4).next_u64()
+
+    def test_cpu_count_reads_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert cpu_count() == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cpu_count() == 1
 
     def test_below_bounds(self):
         rng = SplitMix64(1)
@@ -252,6 +266,15 @@ class TestMonteCarlo:
         workers = InProcessPool.workers
         assert workers and workers[0] <= (os.cpu_count() or 1)
         assert huge == monte_carlo(spec, 40, threads=1)
+
+    def test_pool_is_capped_at_the_affinity_set(self, monkeypatch):
+        # a process pinned to one CPU (taskset, a cpuset) starts one worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        InProcessPool.workers.clear()
+        spec = InstanceSpec(kind="independent", delta=4, seed=SEED, alpha=3)
+        assert monte_carlo(spec, 40, threads=4) == monte_carlo(spec, 40, threads=1)
+        assert InProcessPool.workers == [1]
 
     def test_instance_is_built_once_per_run(self, tmp_path, monkeypatch):
         # Blocks get the parsed intervals, so a custom file is read once and
