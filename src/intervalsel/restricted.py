@@ -37,20 +37,24 @@ generator ``("R", g, i, b)`` hangs off the state ``(g, i, b)``, which is
 unique in g's grid.  The slot R_i of every node ``(g, a, b)`` is the
 left-most interval ever fed to T_R(i) = ``(g, i, b)``, and L_i the
 right-most fed to T_L(i), so a state stores four slots: those two intervals
-and the grids of its two conditional generators, both on the state's own
-domain.  Neither a state nor a grid knows where its domain lies: the passes
-carry a grid and its width down, and an arriving interval's floor counted
-from the grid's origin, and only ``InstanceState`` adds its domain's left
-end back.  An arriving interval updates each reachable distinct state
-once.  An update reads only the state's own fields, so only the order
-within a state is observable, and it is the tree's: slot update, then the
-conditional feed judged against the updated slot.
+and its two conditional generators, both on the state's own domain.  A
+conditional generator is its grid only from its second interval on: fed
+one interval, it is a ``_One`` record of that interval, whose summary is
+closed form, and its second interval allocates the grid and replays the
+first into it.  Neither a state nor a grid knows where its domain lies:
+the passes carry a grid and its width down, and an arriving interval's
+floor counted from the grid's origin, and only ``InstanceState`` adds its
+domain's left end back.  An arriving interval updates each reachable
+distinct state once.  An update reads only the state's own fields, so
+only the order within a state is observable, and it is the tree's: slot
+update, then the conditional feed judged against the updated slot.
 
 The DAG holds no reference cycles: a grid points to its states, a state to
-its two intervals and its two conditional grids, and nothing points back
-up.  Reference counting alone frees an instance once it is dropped, which
-is why the CLI can run with the cyclic garbage collector off;
-``TestNoReferenceCycles`` in the tests pins it for every engine path.
+its two intervals and its two conditional generators, a record to its
+interval, and nothing points back up.  Reference counting alone frees an
+instance once it is dropped, which is why the CLI can run with the cyclic
+garbage collector off; ``TestNoReferenceCycles`` in the tests pins it for
+every engine path.
 
 The end-of-stream pass visits each distinct state once and writes into
 it only sizes: the best candidate size, its split point and side, and the
@@ -68,10 +72,12 @@ each child's subtree count, stored on the state.  They can be exponentially
 larger than what is held: time and memory scale with the distinct states.
 Memory is bounded by one budget: each grid's (k + 1)**2 cells are charged
 to a counter of its run (one instance, or all windows of a WindowMap)
-before they are allocated, and ``GridBudgetError`` is raised past
-``MAX_GRID_CELLS``.  A run holds about 5.5 cells per state and 26 to 32
-bytes per cell, which the output pass does not raise; cells also bound the
-few but huge grids of a large delta.
+before they are allocated, a conditional generator's at its first
+interval, when it becomes a record, and ``GridBudgetError`` is raised past
+``MAX_GRID_CELLS``.  A run holds 6 to 21 charged cells per state and 8 to
+27 bytes per charged cell (fewer bytes the more generators stay records),
+which the output pass does not raise; cells also bound the few but huge
+grids of a large delta.
 
 A single instance is a mutable single-writer state machine, for
 ``output()`` as well as for ``feed()``, since the pass rewrites every
@@ -81,6 +87,8 @@ concurrently.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import Domain, DomainError, IndependentSet, UnitInterval, contained_in
@@ -123,13 +131,14 @@ class RunReport(NamedTuple):
         }
 
 
-def _new_grid(k: int, cells: list[int]) -> list[_State | None]:
-    """The empty grid of a generator on a domain of length k, charged before allocation.
+def _charge(k: int, cells: list[int]) -> int:
+    """Charge the grid of a generator on a domain of length k; its cell count.
 
-    With w = k + 1, ``grid[a * w + b]`` is the state on [a, b), counted from
-    the grid's origin, or None until an interval inside [a, b) reaches the
-    generator; its root, the state on [0, k), is at index k.  ``cells`` is
-    the one-item count of grid cells the run holds.
+    With w = k + 1, the grid is a flat list of w * w cells, and
+    ``grid[a * w + b]`` is the state on [a, b), counted from the grid's
+    origin, or None until an interval inside [a, b) reaches the generator;
+    its root, the state on [0, k), is at index k.  ``cells`` is the one-item
+    count of grid cells the run holds, raised here before any allocation.
     """
     w = k + 1
     total = cells[0] + w * w
@@ -139,7 +148,73 @@ def _new_grid(k: int, cells: list[int]) -> list[_State | None]:
             f"of state grids, more than MAX_GRID_CELLS = {MAX_GRID_CELLS}"
         )
     cells[0] = total
-    return [None] * (w * w)
+    return w * w
+
+
+@lru_cache(maxsize=None)
+def _one_interval_nodes(left: int, right: int) -> int:
+    """Tree nodes N(left, right) below the root of a generator fed one interval.
+
+    The interval's floor f lies ``left`` units right of the domain's left
+    end and f + 2 lies ``right`` units left of its right end.  The root
+    [0, k) has the pass-through children [0, i) for i >= f + 2 and [i, k)
+    for i <= f and no conditional one, so N(L, R) = 1 + sum over r < R of
+    N(L, r) + sum over l < L of N(l, R).  Its generating function is
+    1 / (1 - 2x - 2y + 3xy), which gives this sum.  The sum takes about
+    2 us and a cached read 0.1 us.  The cache keeps one entry per distinct
+    pair a process met, and every pair has left + right <= k - 2 for a
+    width k whose grid fits the budget: at delta 11 the conditional widths
+    are at most 12, so a run meets at most 66 pairs however many trials it
+    runs (63 in 12 trials of an alpha-10 instance, with 95,804 hits).
+    """
+    return sum(
+        comb(left + right - j, j) * comb(left + right - 2 * j, left - j)
+        * 2 ** (left + right - 2 * j) * (-3) ** j
+        for j in range(min(left, right) + 1)
+    )
+
+
+class _One:
+    """A conditional generator fed one interval so far, held without its grid.
+
+    ``lo`` is the interval and ``f`` its floor counted from the grid's
+    origin.  The grid's cells are charged when the record is made, so the
+    budget sees the same count at the same feed as for an allocated grid,
+    which replaces the record at the generator's second interval.  One
+    interval fixes the summary of the grid's root: ``size`` 1 (0 on a
+    domain of length 2, where no unit interval fits a length-1 child),
+    ``nodes`` N(f, k - f - 2) and ``stored`` one slot per node but the root.
+    """
+
+    __slots__ = ("lo", "f", "size", "nodes", "stored")
+
+    def __init__(self, iv: UnitInterval, f: int, k: int, cells: list[int]):
+        _charge(k, cells)
+        self.lo = iv
+        self.f = f
+        self.size = 1 if k > 2 else 0
+        self.nodes = _one_interval_nodes(f, k - f - 2)
+        self.stored = self.nodes - 1
+
+
+def _feed_generator(
+    gen: list | _One | None, k: int, cells: list[int],
+    iv: UnitInterval, num: int, den: int, fl: int,
+) -> list | _One:
+    """Feed ``iv`` to a conditional generator of width k; what it is after.
+
+    None becomes a one-interval record, and a record becomes its grid,
+    allocated without a second charge and fed the recorded interval before
+    ``iv``, so it holds the states an eagerly allocated grid would.
+    """
+    if gen is None:
+        return _One(iv, fl, k, cells)
+    if gen.__class__ is _One:
+        one, x = gen, gen.lo.left
+        gen = [None] * ((k + 1) * (k + 1))
+        _feed(gen, k, cells, one.lo, x.num, x.den, one.f)
+    _feed(gen, k, cells, iv, num, den, fl)
+    return gen
 
 
 class _State:
@@ -147,11 +222,11 @@ class _State:
 
     ``lo`` and ``hi`` are the left-most and right-most interval it was fed,
     which are the slots R_a and L_b of each of its tree parents.  ``cr`` and
-    ``cl`` are the grids of the generators of those parents' conditional
-    children A_R(a) and A_L(b), on the state's own domain with their origin
-    at its left end, created on their first feed.  A state knows neither its
-    generator nor its domain: the passes carry its grid and that grid's
-    width down.
+    ``cl`` are the generators of those parents' conditional children A_R(a)
+    and A_L(b), on the state's own domain with their origin at its left end:
+    None until their first feed, a ``_One`` record until their second, then
+    a grid.  A state knows neither its generator nor its domain: the passes
+    carry its grid and that grid's width down.
 
     ``size``, ``point``, ``side``, ``nodes`` and ``stored`` are the state's
     end-of-stream summary, written by ``_fill`` and read only after it;
@@ -163,8 +238,8 @@ class _State:
     def __init__(self, first: UnitInterval):
         self.lo = first
         self.hi = first
-        self.cr: list[_State | None] | None = None
-        self.cl: list[_State | None] | None = None
+        self.cr: list | _One | None = None
+        self.cl: list | _One | None = None
 
 
 def _feed(
@@ -195,18 +270,14 @@ def _feed(
             # independent of and further right than R: x > lo + 1.  Only a
             # state with a pass-through parent (a > 0) is someone's T_R.
             elif a and num * lo.den > (lo.num + lo.den) * den:
-                if s.cr is None:
-                    s.cr = _new_grid(idx - row - a, cells)
-                _feed(s.cr, idx - row - a, cells, iv, num, den, fl - a)
+                s.cr = _feed_generator(s.cr, idx - row - a, cells, iv, num, den, fl - a)
             hi = s.hi.left
             if num * hi.den > hi.num * den:
                 s.hi = iv
             # independent of and further left than L: x < hi - 1, for a
             # state with a pass-through parent (b < k)
             elif idx != last and num * hi.den < (hi.num - hi.den) * den:
-                if s.cl is None:
-                    s.cl = _new_grid(idx - row - a, cells)
-                _feed(s.cl, idx - row - a, cells, iv, num, den, fl - a)
+                s.cl = _feed_generator(s.cl, idx - row - a, cells, iv, num, den, fl - a)
 
 
 def _fill(grid: list, k: int) -> None:
@@ -220,7 +291,7 @@ def _fill(grid: list, k: int) -> None:
     and columns left to right, and every child is summarised before its
     parent reads it.  A state's conditional grids, on its own domain and read
     only by its parents, are filled with it; the feed that created one
-    created its root.
+    created its root.  A one-interval record carries its root's summary.
     """
     w = k + 1
     for a in range(k - 2, -1, -1):
@@ -229,9 +300,9 @@ def _fill(grid: list, k: int) -> None:
             s = grid[row + b]
             if s is None:
                 continue
-            if s.cr is not None:
+            if s.cr.__class__ is list:
                 _fill(s.cr, b - a)
-            if s.cl is not None:
+            if s.cl.__class__ is list:
                 _fill(s.cl, b - a)
             if b == a + 2:
                 # no unit interval fits either length-1 child of [a, a + 2)
@@ -252,7 +323,8 @@ def _fill(grid: list, k: int) -> None:
                     l_size = 1
                     c = tl.cl
                     if c is not None:
-                        al = c[i - a]  # A_L(i), the root of its grid
+                        # A_L(i): the root of its grid, or its record
+                        al = c[i - a] if c.__class__ is list else c
                         l_size += al.size
                         nodes += al.nodes
                         stored += al.stored
@@ -264,7 +336,8 @@ def _fill(grid: list, k: int) -> None:
                     r_size += 1
                     c = tr.cr
                     if c is not None:
-                        ar = c[b - i]  # A_R(i), the root of its grid
+                        # A_R(i): the root of its grid, or its record
+                        ar = c[b - i] if c.__class__ is list else c
                         r_size += ar.size
                         nodes += ar.nodes
                         stored += ar.stored
@@ -280,12 +353,17 @@ def _picks(grid: list, k: int) -> list[UnitInterval]:
 
     Follows (split point, side) from the root down through the children
     that form the winning candidate, taking one slot interval per visited
-    state of nonzero size.
+    state of nonzero size; a one-interval record of nonzero size gives its
+    interval.
     """
     picks: list[UnitInterval] = []
-    todo = [(grid, k + 1, 0, k)]  # a grid, its row length, a domain in it
+    todo = [(grid, k + 1, 0, k)]  # a grid or a record, its row length, a domain in it
     while todo:
         grid, w, a, b = todo.pop()
+        if grid.__class__ is _One:
+            if grid.size:
+                picks.append(grid.lo)
+            continue
         s = grid[a * w + b]
         if not s.size:
             continue
@@ -320,7 +398,7 @@ class InstanceState:
     def __init__(self, domain: Domain, cells: list[int] | None = None):
         self.domain = domain
         self._cells = [0] if cells is None else cells
-        self._grid = _new_grid(domain.b - domain.a, self._cells)
+        self._grid = [None] * _charge(domain.b - domain.a, self._cells)
 
     def feed(self, interval: UnitInterval) -> None:
         """Route one arriving interval through every reachable state.

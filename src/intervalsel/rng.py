@@ -79,19 +79,20 @@ def map_trials(trial, args: tuple, n: int, threads: int) -> Counter:
 
     Each trial must draw only from its own ``derive`` substream and return
     a hashable outcome, so that every split of the range into blocks gives
-    the same total.  Runs in this process when ``threads <= 1`` or
-    ``n < 4``.  Otherwise trial 0 runs here first, so an error every trial
-    shares (a grid over budget) is raised before a pool starts; trials
-    1..n-1 are split into about ``4 * threads`` blocks, each counted by
-    ``_count`` in a process pool of min(threads, blocks, ``cpu_count()``)
-    workers, which needs ``trial`` and ``args`` to be picklable.  The
-    workers take this process's collector state whatever the start method:
-    a fork inherits it, and a spawned or forkserver worker disables its
-    collector first when this process runs without one.  The pool
-    module, and ``multiprocessing`` with it, is imported only here, so a
-    serial run never loads it.
+    the same total.  Runs in this process when ``threads <= 1``, ``n < 4``
+    or this process may use one CPU only (a ``taskset`` or a cpuset), where
+    a pool would have a single worker.  Otherwise trial 0 runs here first,
+    so an error every trial shares (a grid over budget) is raised before a
+    pool starts; trials 1..n-1 are split into about ``4 * threads`` blocks,
+    each counted by ``_count`` in a process pool of min(threads, blocks,
+    ``cpu_count()``) workers, which needs ``trial`` and ``args`` to be
+    picklable.  The workers take this process's collector state whatever
+    the start method: a fork inherits it, and a spawned or forkserver
+    worker disables its collector first when this process runs without
+    one.  The pool module, and ``multiprocessing`` with it, is imported
+    only here, so a serial run never loads it.
     """
-    if threads <= 1 or n < 4:
+    if threads <= 1 or n < 4 or cpu_count() <= 1:
         return _count(trial, args, 0, n)
     first = _count(trial, args, 0, 1)
     from concurrent.futures import ProcessPoolExecutor

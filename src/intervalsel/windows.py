@@ -3,9 +3,13 @@
 Every integer origin i defines a window [i, i + delta).  A unit interval
 is fully contained in exactly delta - 1 such windows.  Each arriving
 interval activates its containing windows (lazily: inactive windows use no
-space), and is fed, translated by -i, into a per-window recursive instance
-running on [-1, delta + 1).  At the end the window outputs are translated
-back and a maximum independent set of their union is returned.
+space), and is fed as it is into a per-window recursive instance running
+on [i - 1, i + delta + 1), the wrapper domain moved by i; the instance
+indexes its grids from its own left end, so the move costs nothing per
+feed.  A window's report is given in window coordinates, as if the
+instance ran on [-1, delta + 1): its output moved by -i and its split
+point less i.  At the end the window outputs are translated back and a
+maximum independent set of their union is returned.
 
 A WindowMap is single-writer during a stream; the per-window instances
 are independent of one another.
@@ -15,8 +19,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .geometry import IndependentSet, UnitInterval, max_independent_set
-from .restricted import InstanceState, RunReport, wrapper_domain
+from .geometry import Domain, IndependentSet, UnitInterval, max_independent_set
+from .restricted import InstanceState, RunReport
 
 
 def windows_containing(interval: UnitInterval, delta: int) -> range:
@@ -57,23 +61,32 @@ class WindowMap:
         return len(self._active)
 
     def feed(self, interval: UnitInterval) -> None:
-        """Activate the containing windows and feed the translated interval."""
+        """Activate the containing windows and feed each the interval."""
         for origin in windows_containing(interval, self.delta):
             inst = self._active.get(origin)
             if inst is None:
-                inst = InstanceState(wrapper_domain(self.delta), self._cells)
-                self._active[origin] = inst
-            inst.feed(interval.translate(-origin))
+                domain = Domain(origin - 1, origin + self.delta + 1)
+                inst = self._active[origin] = InstanceState(domain, self._cells)
+            inst.feed(interval)
 
     def window_reports(self) -> list[WindowReport]:
+        """Each active window's report, in window coordinates."""
         return [
-            WindowReport(origin, self._active[origin].output())
+            WindowReport(origin, _to_window(self._active[origin].output(), origin))
             for origin in self.active_origins
         ]
 
     def merge_output(self) -> IndependentSet:
         """Merge of every active window's current output."""
         return merge_reports(self.window_reports())
+
+
+def _to_window(report: RunReport, origin: int) -> RunReport:
+    """A report of the window at ``origin`` moved by -origin."""
+    return report._replace(
+        output=IndependentSet(iv.translate(-origin) for iv in report.output),
+        winning_split_point=report.winning_split_point - origin,
+    )
 
 
 def merge_reports(reports: Iterable[WindowReport]) -> IndependentSet:

@@ -1127,14 +1127,14 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_out_of_memory_is_a_data_error(self, tmp_path):
-        # 64 lefts on the eighth grid over a length-16 domain need far more
+        # 80 lefts on the eighth grid over a length-20 domain need far more
         # distinct states than the 200 MB address-space cap allows; the
         # states must be freed before the error line is printed.  `run`
         # does not import numpy; one BLAS thread would keep the thread
         # stacks numpy reserves at import out of the cap on many-core hosts
         # if it ever did.
         path = tmp_path / "big.txt"
-        path.write_text("\n".join(f"{(37 * j) % 113}/8" for j in range(64)))
+        path.write_text("\n".join(f"{(37 * j) % 151}/8" for j in range(80)))
 
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
@@ -1142,7 +1142,7 @@ class TestExitCodes:
         start = time.perf_counter()
         proc = subprocess.run(
             [
-                sys.executable, "-m", "intervalsel", "run", "--domain", "0,16",
+                sys.executable, "-m", "intervalsel", "run", "--domain", "0,20",
                 "--input", str(path),
             ],
             capture_output=True,

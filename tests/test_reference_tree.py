@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from intervalsel import windows
 from intervalsel.geometry import Domain, Scalar, UnitInterval
-from intervalsel.restricted import InstanceState, wrapper_domain
+from intervalsel.harness import gen_independent
+from intervalsel.restricted import InstanceState, _One, wrapper_domain
+from intervalsel.rng import derive, fisher_yates
 from intervalsel.windows import WindowMap, run_windowed
 
 from reference_tree import InstanceState as TreeInstanceState
@@ -65,6 +67,44 @@ def test_windowed_runs_match(case):
     with mock.patch.object(windows, "InstanceState", tree_window):
         tree = run()
     assert dag == tree
+
+
+def _records(grid, path=()):
+    """The path of every conditional generator below ``grid`` still held as
+    a one-interval record."""
+    found = set()
+    for idx, s in enumerate(grid):
+        if s is None:
+            continue
+        for side, gen in (("r", s.cr), ("l", s.cl)):
+            here = path + ((idx, side),)
+            if isinstance(gen, _One):
+                found.add(here)
+            elif gen is not None:
+                found |= _records(gen, here)
+    return found
+
+
+def test_outputs_around_a_second_interval_match():
+    # Independent intervals in shuffled orders, plus a seeded stray one, with
+    # output() after every feed: generators are read as records, then again
+    # after their second interval made them grids.
+    promoted = 0
+    for seed in range(12):
+        rng = derive(5, seed)
+        stream = fisher_yates(gen_independent(5, 6, seed=seed), rng)
+        stream.insert(rng.below(6), UnitInterval(Scalar(rng.below(20), 4)))
+        dag = InstanceState(wrapper_domain(6))
+        tree = TreeInstanceState(wrapper_domain(6))
+        before = set()
+        for iv in stream:
+            dag.feed(iv)
+            tree.feed(iv)
+            assert dag.output() == tree.output()
+            now = _records(dag._grid)
+            promoted += len(before - now)
+            before = now
+    assert promoted > 0
 
 
 def test_dense_stream_counts_match():

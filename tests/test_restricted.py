@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,11 +127,18 @@ class TestNoReferenceCycles:
 
 
 def _grid_cells(grid) -> int:
-    """Cells of a generator's grid and of every grid below it."""
-    total = len(grid)
-    for s in grid:
-        if s is not None:
-            total += sum(_grid_cells(c) for c in (s.cr, s.cl) if c is not None)
+    """Cells of a generator's grid and of every grid below it; a
+    one-interval record counts the (k + 1)**2 cells charged for it."""
+    total, w = len(grid), isqrt(len(grid))
+    for idx, s in enumerate(grid):
+        if s is None:
+            continue
+        a, b = divmod(idx, w)
+        for c in (s.cr, s.cl):
+            if isinstance(c, list):
+                total += _grid_cells(c)
+            elif c is not None:
+                total += (b - a + 1) ** 2
     return total
 
 
@@ -185,6 +193,76 @@ class TestGridBudget:
         finally:
             tracemalloc.stop()
         assert peak - held < 0.05 * held
+
+
+# The run's grid-cell count after every feed, recorded before conditional
+# generators were held as one-interval records: (seed, delta, n) of
+# `random_intervals` on the wrapper domain.
+CELLS_AFTER_EVERY_FEED = {
+    (1, 7, 10): [100, 100, 553, 553, 553, 614, 614, 614, 1018, 1018],
+    (2, 8, 12): [121, 121, 121, 945, 945, 1469, 2770, 4562, 4562, 9695, 11448, 11448],
+    (3, 6, 14): [81, 230, 230, 428, 428, 489, 489, 599, 1108, 1609, 1657, 1657, 2166, 2166],
+}
+
+
+class TestOneIntervalGenerators:
+    """A conditional generator is held as its one interval until its second
+    arrives, charged as its grid from the first."""
+
+    def test_closed_form_matches_the_recurrence(self):
+        n = {}
+        for left in range(15):
+            for right in range(15):
+                n[left, right] = (
+                    1 + sum(n[left, r] for r in range(right))
+                    + sum(n[l, right] for l in range(left))
+                )
+                assert restricted._one_interval_nodes(left, right) == n[left, right]
+
+    def test_record_summary_matches_an_allocated_grid(self):
+        # an instance's root grid is always allocated; fed one interval at
+        # floor f on [0, k), its root summary is the one a record carries
+        for k in range(2, 15):
+            for f in range(k - 1):
+                iv = u(Fraction(2 * f + 1, 2))
+                rep = run_on_stream(Domain(0, k), [iv])
+                one = restricted._One(iv, f, k, [0])
+                summary = (len(rep.output), rep.instances_touched, rep.peak_stored_intervals)
+                assert summary == (one.size, one.nodes, one.stored), (k, f)
+
+    def test_record_is_charged_as_its_grid(self):
+        cells = [10]
+        restricted._One(u(1), 1, 5, cells)
+        assert cells == [46]
+
+    def test_second_interval_turns_the_record_into_its_grid(self):
+        # 2 is independent of and right of 0, the slot of the states [0, b)
+        # for b >= 4, so each of their A_R generators holds it alone; 5/2
+        # overlaps 2, so it reaches those generators and nothing new
+        inst = InstanceState(Domain(-1, 7))
+        inst.feed(u(0))
+        inst.feed(u(2))
+        for b in range(4, 8):
+            record = _state(inst, 0, b).cr
+            assert isinstance(record, restricted._One)
+            assert str(record.lo.left) == "2"
+        cells = inst._cells[0]
+        inst.feed(u("5/2"))
+        assert inst._cells[0] == cells  # charged once, at the first feed
+        for b in range(4, 8):
+            grid = _state(inst, 0, b).cr
+            assert isinstance(grid, list) and len(grid) == (b + 1) ** 2
+        assert [str(iv.left) for iv in inst.output().output] == ["0", "2"]
+
+    @pytest.mark.parametrize("case", sorted(CELLS_AFTER_EVERY_FEED))
+    def test_cells_after_every_feed_are_unchanged(self, case):
+        seed, delta, n = case
+        inst = InstanceState(wrapper_domain(delta))
+        seen = []
+        for iv in random_intervals(SplitMix64(seed), delta, n):
+            inst.feed(iv)
+            seen.append(inst._cells[0])
+        assert seen == CELLS_AFTER_EVERY_FEED[case]
 
 
 class TestFeedTraces:
