@@ -230,11 +230,6 @@ class TestOneIntervalGenerators:
                 summary = (len(rep.output), rep.instances_touched, rep.peak_stored_intervals)
                 assert summary == (one.size, one.nodes, one.stored), (k, f)
 
-    def test_record_is_charged_as_its_grid(self):
-        cells = [10]
-        restricted._One(u(1), 1, 5, cells)
-        assert cells == [46]
-
     def test_second_interval_turns_the_record_into_its_grid(self):
         # 2 is independent of and right of 0, the slot of the states [0, b)
         # for b >= 4, so each of their A_R generators holds it alone; 5/2
