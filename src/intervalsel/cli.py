@@ -247,15 +247,13 @@ def _cmd_run(args) -> int:
         wm = windows.WindowMap(args.delta)
         for iv in stream:
             wm.feed(iv)
-        reports = wm.window_reports()
+        reports = wm.reports()
         merged = windows.merge_reports(reports)
         window_payload = []
-        for rep in reports:
-            entry = rep.report.to_dict()
-            entry["origin"] = rep.origin
-            entry["output_intervals"] = [
-                str(iv.translate(rep.origin).left) for iv in rep.report.output
-            ]
+        for origin, report in reports:
+            entry = report.to_dict()
+            entry["winning_split_point"] -= origin
+            entry["origin"] = origin
             window_payload.append(entry)
         _emit_json(
             {

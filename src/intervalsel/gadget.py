@@ -34,7 +34,6 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .geometry import (
-    I64_MAX,
     CheckError,
     IndependentSet,
     Scalar,
@@ -121,23 +120,6 @@ def check_t(t: int) -> None:
         raise ValueError(
             f"t must be <= {MAX_T}: larger constructions leave the 64-bit "
             "coordinate range"
-        )
-
-
-def check_window(t: int, delta: int) -> None:
-    """Refuse a clique size whose construction, moved into windows of width
-    delta, leaves the 64-bit range, with a ValueError.
-
-    A window moves every left end into [0, delta - 1), and every denominator
-    of the construction divides t**3 (t+1), so no translated numerator
-    reaches (delta - 1) t**3 (t+1).  The right wing at index t - 1 in its
-    lowest window comes close: for delta in 3..399 the bound refuses at most
-    one t that would fit.
-    """
-    if (delta - 1) * t**3 * (t + 1) > I64_MAX:
-        raise ValueError(
-            f"t = {t} in windows of width {delta}: translated coordinates "
-            "leave the 64-bit range"
         )
 
 
@@ -436,8 +418,6 @@ def simulate_protocol(
     """
     if isinstance(algorithm, str):
         resolve_algorithm(algorithm)  # a bad name fails before any sample runs
-        if algorithm.startswith("windowed:"):
-            check_window(t, int(algorithm.split(":", 1)[1]))
     if samples < 1:
         raise ValueError("need at least one sample")
 

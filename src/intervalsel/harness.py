@@ -224,8 +224,6 @@ def monte_carlo(
     # Built once: a bad spec fails before any trial, and all trials share it.
     if intervals is None:
         intervals = instance_from_spec(spec)
-    if spec.kind == "gadget" and algorithm == "windowed":
-        gadget_mod.check_window(spec.t, spec.delta)
     a = alpha(intervals)
     trial_args = (intervals, a, spec.delta, spec.seed, algorithm)
     sizes = map_trials(_trial, trial_args, trials, threads)

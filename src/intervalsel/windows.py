@@ -6,10 +6,8 @@ interval activates its containing windows (lazily: inactive windows use no
 space), and is fed as it is into a per-window recursive instance running
 on [i - 1, i + delta + 1), the wrapper domain moved by i; the instance
 indexes its grids from its own left end, so the move costs nothing per
-feed.  A window's report is given in window coordinates, as if the
-instance ran on [-1, delta + 1): its output moved by -i and its split
-point less i.  At the end the window outputs are translated back and a
-maximum independent set of their union is returned.
+feed.  Window outputs stay in the coordinates they were fed in, and at the
+end a maximum independent set of their union is returned.
 
 A WindowMap is single-writer during a stream; the per-window instances
 are independent of one another.
@@ -69,16 +67,24 @@ class WindowMap:
                 inst = self._active[origin] = InstanceState(domain, self._cells)
             inst.feed(interval)
 
-    def window_reports(self) -> list[WindowReport]:
-        """Each active window's report, in window coordinates."""
+    def reports(self) -> list[WindowReport]:
+        """Each active window's report, as its instance gives it."""
         return [
-            WindowReport(origin, _to_window(self._active[origin].output(), origin))
+            WindowReport(origin, self._active[origin].output())
             for origin in self.active_origins
         ]
 
+    def window_reports(self) -> list[WindowReport]:
+        """Each active window's report in window coordinates, as if its
+        instance ran on [-1, delta + 1).  Only the stream-unrestricted
+        replay in ``bench/workloads.py`` and ``tools/report_digest.py``
+        read this view.
+        """
+        return [WindowReport(o, _to_window(r, o)) for o, r in self.reports()]
+
     def merge_output(self) -> IndependentSet:
         """Merge of every active window's current output."""
-        return merge_reports(self.window_reports())
+        return merge_reports(self.reports())
 
 
 def _to_window(report: RunReport, origin: int) -> RunReport:
@@ -90,7 +96,7 @@ def _to_window(report: RunReport, origin: int) -> RunReport:
 
 
 def merge_reports(reports: Iterable[WindowReport]) -> IndependentSet:
-    """Translate every window's output back and select a maximum subset.
+    """Pool every window's output and select a maximum subset.
 
     The pooled candidates number at most (delta - 1) * alpha; duplicates
     from overlapping windows are collapsed before the exact greedy pass.
@@ -98,8 +104,7 @@ def merge_reports(reports: Iterable[WindowReport]) -> IndependentSet:
     pool: dict = {}
     for rep in reports:
         for iv in rep.report.output:
-            back = iv.translate(rep.origin)
-            pool.setdefault(back.left, back)
+            pool.setdefault(iv.left, iv)
     return max_independent_set(list(pool.values()))
 
 

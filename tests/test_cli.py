@@ -20,6 +20,7 @@ from intervalsel import cli, gadget as gadget_mod, harness, restricted
 from intervalsel.cli import dispatch
 from intervalsel.gadget import MAX_T
 from intervalsel.harness import MAX_GADGET_T
+from intervalsel.geometry import UnitInterval
 
 SEED = "20260810"
 
@@ -595,6 +596,16 @@ class TestRun:
         assert payload["active_windows"] == 4
         assert {w["origin"] for w in payload["windows"]} == {-1, 0, 1, 2}
 
+    def test_unrestricted_run_moves_no_coordinate(self, interval_file, monkeypatch, capsys):
+        argv = ["run", "--unrestricted", "--delta", "3", "--input", interval_file]
+        expected = run_cli(argv, capsys)
+
+        def moved(self, k):
+            raise AssertionError(f"{self} translated by {k}")
+
+        monkeypatch.setattr(UnitInterval, "translate", moved)
+        assert run_cli(argv, capsys) == expected
+
     def test_interval_outside_domain_fails_validation(self, interval_file, capsys):
         code, _, err = run_cli(
             ["run", "--domain", "0,2", "--input", interval_file], capsys
@@ -619,10 +630,11 @@ class TestRun:
     @pytest.mark.parametrize(
         "args, line",
         [
-            # overflows while parsing, and in the window translation
+            # the left end overflows while parsing
             (["--domain", "-1,5"], "1e400"),
+            # the left end fits, the right end left + 1 does not (here
+            # 2^63 / (2^63 - 1), then 2^63)
             (["--unrestricted", "--delta", "4"], "1/9223372036854775807"),
-            # the left end fits, the right end left + 1 does not
             (["--unrestricted", "--delta", "3"], "9223372036854775807"),
         ],
     )
@@ -640,7 +652,7 @@ class TestRun:
         [["-9223372036854775808"], ["-9223372036854775807", "-9223372036854775805"]],
     )
     def test_lowest_left_ends_run_unrestricted(self, lines, tmp_path, capsys):
-        # window origins reach below -2^63, while every shifted coordinate is small
+        # window origins reach below -2^63, and windows take the intervals as they are
         path = tmp_path / "low.txt"
         path.write_text("\n".join(lines) + "\n")
         code, out, err = run_cli(

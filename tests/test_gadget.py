@@ -2,12 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from intervalsel import gadget as gadget_mod
 from intervalsel.gadget import (
     MAX_T,
     GadgetInvariantError,
     build,
-    check_window,
     random_gadget,
     resolve_algorithm,
     sample_sigma,
@@ -105,20 +103,6 @@ class TestBuild:
         with pytest.raises(ValueError, match="64-bit"):
             random_gadget(t, rng)
         assert rng.state == SplitMix64(SEED).state
-
-    def test_window_bound_is_tight_and_refused_before_sampling(self, monkeypatch):
-        t, delta = 36_854, 6
-        # J_R at index t - 1, moved into its lowest window of width 6 (origin
-        # -3), leaves the 64-bit range; at t - 1 every coordinate stays below
-        # (delta - 1) t**3 (t+1), which fits
-        left = scalar(1 + Fraction(t - 1, t + 1) + Fraction(1, t**2) + Fraction(1, t**3))
-        with pytest.raises(ScalarOverflowError):
-            UnitInterval(left).translate(delta - 3)
-        check_window(t - 1, delta)
-        monkeypatch.setattr(gadget_mod, "map_trials", lambda *_: pytest.fail("sampled"))
-        refusal = f"t = {t} in windows of width {delta}: .* 64-bit"
-        with pytest.raises(ValueError, match=refusal):
-            simulate_protocol(t, 1, f"windowed:{delta}", SEED)
 
     def test_gap_inequality_threshold(self):
         assert not wing_gap_inequality_holds(2)

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from intervalsel import restricted
-from intervalsel.geometry import alpha
+from intervalsel.gadget import build, simulate_protocol
+from intervalsel.geometry import (
+    IndependentSet,
+    ScalarOverflowError,
+    UnitInterval,
+    alpha,
+)
+from intervalsel.harness import InstanceSpec, monte_carlo
 from intervalsel.restricted import (
     GridBudgetError,
     InstanceState,
@@ -122,3 +129,60 @@ class TestWindowMap:
         rng = SplitMix64(17)
         stream = fisher_yates(random_intervals(rng, 6, 7), rng)
         assert run_windowed(4, stream) == run_windowed(4, stream)
+
+
+class TestCoordinates:
+    """Windows answer in the coordinates they were fed."""
+
+    def test_windowed_runs_move_no_coordinate(self, monkeypatch):
+        rng = SplitMix64(4242)
+        stream = random_intervals(rng, 9, 14)
+        spec = InstanceSpec(kind="independent", delta=5, seed=7, alpha=3)
+
+        def runs():
+            return (
+                run_windowed(4, stream),
+                monte_carlo(spec, 4, algorithm="windowed"),
+                simulate_protocol(6, 4, "windowed:5", 7),
+            )
+
+        expected = runs()
+
+        def moved(self, k):
+            raise AssertionError(f"{self} translated by {k}")
+
+        monkeypatch.setattr(UnitInterval, "translate", moved)
+        assert runs() == expected
+
+    def test_window_view_is_each_report_moved_by_minus_origin(self):
+        rng = SplitMix64(99)
+        for _ in range(12):
+            delta = 2 + rng.below(4)
+            stream = random_intervals(rng, delta + 4, rng.below(9))
+            wm = WindowMap(delta)
+            for iv in stream:
+                wm.feed(iv)
+            reports, views = wm.reports(), wm.window_reports()
+            assert [o for o, _ in views] == [o for o, _ in reports] == wm.active_origins
+            for (origin, report), (_, view) in zip(reports, views):
+                assert view == report._replace(
+                    output=IndependentSet(iv.translate(-origin) for iv in report.output),
+                    winning_split_point=report.winning_split_point - origin,
+                )
+                # as if the instance ran on [-1, delta + 1) on moved intervals
+                alone = InstanceState(wrapper_domain(delta))
+                for iv in stream:
+                    if origin in windows_containing(iv, delta):
+                        alone.feed(iv.translate(-origin))
+                assert alone.output() == view
+
+    def test_wide_gadget_triple_is_found(self):
+        # The right wing at index t - 1, moved into its lowest window of
+        # width 6 (origin -3), would leave the 64-bit range; windows fed it
+        # as it is find the unique triple.
+        t = 36_854
+        g = build(t, t - 1, [0] * t, [0] * t, list(range(t + 2)))
+        triple = [g.wing_left, g.clique[t - 1], g.wing_right]
+        with pytest.raises(ScalarOverflowError):
+            g.wing_right.translate(3)
+        assert run_windowed(6, triple) == IndependentSet(triple)
