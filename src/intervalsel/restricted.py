@@ -32,25 +32,36 @@ Nodes with one key share one state, so the tree is a DAG of far fewer
 distinct states (hash-consing, as in the unique table of a BDD).  A
 generator on a domain of length k is its grid: one flat list of
 (k + 1)**2 cells that holds its states by domain, counted from the grid's
-own origin, so ``grid[a * (k + 1) + b]`` is the state on [a, b).  The
-generator ``("R", g, i, b)`` hangs off the state ``(g, i, b)``, which is
-unique in g's grid.  The slot R_i of every node ``(g, a, b)`` is the
-left-most interval ever fed to T_R(i) = ``(g, i, b)``, and L_i the
-right-most fed to T_L(i), so a state stores four slots: those two intervals
-and its two conditional generators, both on the state's own domain.  A
-conditional generator is its grid only from its second interval on: fed
-one interval, it is a ``_One`` record of that interval, whose summary is
+own origin, so ``grid[a * (k + 1) + b]`` is the state on [a, b).  The slot
+R_i of every node ``(g, a, b)`` is the left-most interval ever fed to
+T_R(i) = ``(g, i, b)``, and L_i the right-most fed to T_L(i), so a state
+stores two slots: those two intervals.
+
+The conditional generators of a grid are shared by row and by column.
+For a fixed ``(g, i)``, the generators ``("R", g, i, b)`` are one substream
+cut at different right ends: after the slot update, an arriving x lies
+beyond R_i + 1 iff g was already fed some y with floor(y) >= i and
+y < x - 1, and such a y lies inside [i, b) for every b whose domain holds
+x.  So row i's generator, on [i, k), holds them all: ``("R", g, i, b)`` is
+its state on [i, b).  The two differ only in the conditional generator of
+that state's last column, which no state inside [i, b) reads.  Likewise,
+``("L", g, a, i)`` for every a is column i's generator, on [0, i), read on
+[a, i).  Row a's generator sits in the unused cell ``grid[a * (k + 1)]``
+and column b's in ``grid[k * (k + 1) + b]``, so a feed that reaches a grid
+feeds each of its row and column generators at most once.  A conditional
+generator is its grid only from its second interval on: fed one interval,
+it is a ``_One`` record of that interval, whose state on any domain is
 closed form, and its second interval allocates the grid and replays the
 first into it.  Neither a state nor a grid knows where its domain lies:
 the passes carry a grid and its width down, and an arriving interval's
 floor counted from the grid's origin, and only ``InstanceState`` adds its
 domain's left end back.  An arriving interval updates each reachable
-distinct state once.  An update reads only the state's own fields, so
-only the order within a state is observable, and it is the tree's: slot
-update, then the conditional feed judged against the updated slot.
+distinct state once, slots first; each row and column generator is then
+judged once, against the updated slots of its least domain that holds the
+interval, as the tree orders a slot update before the conditional feed.
 
-The DAG holds no reference cycles: a grid points to its states, a state to
-its two intervals and its two conditional generators, a record to its
+The DAG holds no reference cycles: a grid points to its states and its
+row and column generators, a state to its two intervals, a record to its
 interval, and nothing points back up.  Reference counting alone frees an
 instance once it is dropped, which is why the CLI can run with the cyclic
 garbage collector off; ``TestNoReferenceCycles`` in the tests pins it for
@@ -58,13 +69,12 @@ every engine path.
 
 The end-of-stream pass visits each distinct state once and writes into
 it only sizes: the best candidate size, its split point and side, and the
-two counters below.  It fills each grid shortest domain first, and a
-state's conditional grids with the state, so it recurses only into nested
-grids: the budget below, not the domain length, bounds its depth.  It
-allocates nothing per state, so what the feed left is the run's memory.
-The winning set is then rebuilt once, by following (split point, side)
-from the root, which takes one slot interval per visited state of the
-result.
+two counters below.  It fills each grid's row and column generators, then
+the grid shortest domain first, so it recurses only into nested grids: the
+budget below, not the domain length, bounds its depth.  It allocates
+nothing per state, so what the feed left is the run's memory.  The winning
+set is then rebuilt once, by following (split point, side) from the root,
+which takes one slot interval per visited state of the result.
 
 ``instances_touched`` and ``peak_stored_intervals`` still report the
 logical tree: a state's subtree count is the sum over its child edges of
@@ -74,10 +84,10 @@ Memory is bounded by one budget: each grid's (k + 1)**2 cells are charged
 to a counter of its run (one instance, or all windows of a WindowMap)
 before they are allocated, a conditional generator's at its first
 interval, when it becomes a record, and ``GridBudgetError`` is raised past
-``MAX_GRID_CELLS``.  A run holds 6 to 21 charged cells per state and 8 to
-27 bytes per charged cell (fewer bytes the more generators stay records),
-which the output pass does not raise; cells also bound the few but huge
-grids of a large delta.
+``MAX_GRID_CELLS``.  So the counter is the number of cells the run holds
+or would hold once its records are grids.  A run holds 5 to 12 charged
+cells per state and 11 to 27 bytes per charged cell, which the output pass
+does not raise; cells also bound the few but huge grids of a large delta.
 
 A single instance is a mutable single-writer state machine, for
 ``output()`` as well as for ``feed()``, since the pass rewrites every
@@ -151,7 +161,6 @@ def _charge(k: int, cells: list[int]) -> int:
     return w * w
 
 
-@lru_cache(maxsize=None)
 def _one_interval_nodes(left: int, right: int) -> int:
     """Tree nodes N(left, right) below the root of a generator fed one interval.
 
@@ -160,12 +169,7 @@ def _one_interval_nodes(left: int, right: int) -> int:
     [0, k) has the pass-through children [0, i) for i >= f + 2 and [i, k)
     for i <= f and no conditional one, so N(L, R) = 1 + sum over r < R of
     N(L, r) + sum over l < L of N(l, R).  Its generating function is
-    1 / (1 - 2x - 2y + 3xy), which gives this sum.  The sum takes about
-    2 us and a cached read 0.1 us.  The cache keeps one entry per distinct
-    pair a process met, and every pair has left + right <= k - 2 for a
-    width k whose grid fits the budget: at delta 11 the conditional widths
-    are at most 12, so a run meets at most 66 pairs however many trials it
-    runs (63 in 12 trials of an alpha-10 instance, with 95,804 hits).
+    1 / (1 - 2x - 2y + 3xy), which gives this sum.
     """
     return sum(
         comb(left + right - j, j) * comb(left + right - 2 * j, left - j)
@@ -174,27 +178,57 @@ def _one_interval_nodes(left: int, right: int) -> int:
     )
 
 
+class _OneSummary:
+    """The end-of-stream summary of a domain that holds one interval.
+
+    ``size`` is 1, or 0 on a domain of length 2, where no unit interval fits
+    a length-1 child; ``nodes`` is N(left, right) and ``stored`` one slot per
+    node but the root.
+    """
+
+    __slots__ = ("size", "nodes", "stored")
+
+    def __init__(self, left: int, right: int):
+        self.size = 1 if left or right else 0
+        self.nodes = _one_interval_nodes(left, right)
+        self.stored = self.nodes - 1
+
+
+@lru_cache(maxsize=None)
+def _one_summary(left: int, right: int) -> _OneSummary:
+    """The shared summary of a one-interval domain with this room on each side.
+
+    The sum of ``_one_interval_nodes`` takes about 2 us and a cached read
+    0.1 us.  The cache keeps one entry per distinct pair a process met, and
+    every pair has left + right <= k - 2 for a width k whose grid fits the
+    budget: at delta 11 the conditional widths are at most 12, so a run
+    meets at most 66 pairs however many trials it runs.
+    """
+    return _OneSummary(left, right)
+
+
 class _One:
     """A conditional generator fed one interval so far, held without its grid.
 
     ``lo`` is the interval and ``f`` its floor counted from the grid's
     origin.  The grid's cells are charged when the record is made, so the
     budget sees the same count at the same feed as for an allocated grid,
-    which replaces the record at the generator's second interval.  One
-    interval fixes the summary of the grid's root: ``size`` 1 (0 on a
-    domain of length 2, where no unit interval fits a length-1 child),
-    ``nodes`` N(f, k - f - 2) and ``stored`` one slot per node but the root.
+    which replaces the record at the generator's second interval.
     """
 
-    __slots__ = ("lo", "f", "size", "nodes", "stored")
+    __slots__ = ("lo", "f")
 
-    def __init__(self, iv: UnitInterval, f: int, k: int, cells: list[int]):
-        _charge(k, cells)
+    def __init__(self, iv: UnitInterval, f: int):
         self.lo = iv
         self.f = f
-        self.size = 1 if k > 2 else 0
-        self.nodes = _one_interval_nodes(f, k - f - 2)
-        self.stored = self.nodes - 1
+
+    def at(self, a: int, b: int) -> _OneSummary | None:
+        """The summary of the grid's state on [a, b), or None if it was never
+        fed: present iff the interval fits, N(f - a, b - f - 2) tree nodes."""
+        f = self.f
+        if a <= f and f + 2 <= b:
+            return _one_summary(f - a, b - f - 2)
+        return None
 
 
 def _feed_generator(
@@ -203,12 +237,14 @@ def _feed_generator(
 ) -> list | _One:
     """Feed ``iv`` to a conditional generator of width k; what it is after.
 
-    None becomes a one-interval record, and a record becomes its grid,
-    allocated without a second charge and fed the recorded interval before
-    ``iv``, so it holds the states an eagerly allocated grid would.
+    None is charged its grid and becomes a one-interval record, and a record
+    becomes its grid, allocated without a second charge and fed the recorded
+    interval before ``iv``, so it holds the states an eagerly allocated grid
+    would.
     """
     if gen is None:
-        return _One(iv, fl, k, cells)
+        _charge(k, cells)
+        return _One(iv, fl)
     if gen.__class__ is _One:
         one, x = gen, gen.lo.left
         gen = [None] * ((k + 1) * (k + 1))
@@ -221,25 +257,20 @@ class _State:
     """One distinct state: every tree node with this generator and domain.
 
     ``lo`` and ``hi`` are the left-most and right-most interval it was fed,
-    which are the slots R_a and L_b of each of its tree parents.  ``cr`` and
-    ``cl`` are the generators of those parents' conditional children A_R(a)
-    and A_L(b), on the state's own domain with their origin at its left end:
-    None until their first feed, a ``_One`` record until their second, then
-    a grid.  A state knows neither its generator nor its domain: the passes
-    carry its grid and that grid's width down.
+    which are the slots R_a and L_b of each of its tree parents.  A state
+    knows neither its generator nor its domain: the passes carry its grid
+    and that grid's width down.
 
     ``size``, ``point``, ``side``, ``nodes`` and ``stored`` are the state's
     end-of-stream summary, written by ``_fill`` and read only after it;
     ``point`` counts from the origin of the state's grid.
     """
 
-    __slots__ = ("lo", "hi", "cr", "cl", "size", "point", "side", "nodes", "stored")
+    __slots__ = ("lo", "hi", "size", "point", "side", "nodes", "stored")
 
     def __init__(self, first: UnitInterval):
         self.lo = first
         self.hi = first
-        self.cr: list | _One | None = None
-        self.cl: list | _One | None = None
 
 
 def _feed(
@@ -251,15 +282,14 @@ def _feed(
     The left endpoint is x = num/den, and fl is floor(x) counted from the
     grid's origin.  The interval lies in [a, b) iff a <= fl and b >= fl + 2;
     every such state exists in the tree below the generator's root through
-    pass-through children, so all of them receive it.  Per state the slot
-    update comes before the conditional feed, which is judged against the
-    updated slot.
+    pass-through children, so all of them receive it.  The slots are
+    updated first; each row's and column's conditional generator is then
+    fed once, judged against the updated slots.
     """
     w = k + 1
     for a in range(fl + 1):
         row = a * w
-        last = row + k
-        for idx in range(row + fl + 2, last + 1):
+        for idx in range(row + fl + 2, row + w):
             s = grid[idx]
             if s is None:
                 grid[idx] = _State(iv)
@@ -267,17 +297,24 @@ def _feed(
             lo = s.lo.left
             if num * lo.den < lo.num * den:
                 s.lo = iv
-            # independent of and further right than R: x > lo + 1.  Only a
-            # state with a pass-through parent (a > 0) is someone's T_R.
-            elif a and num * lo.den > (lo.num + lo.den) * den:
-                s.cr = _feed_generator(s.cr, idx - row - a, cells, iv, num, den, fl - a)
             hi = s.hi.left
             if num * hi.den > hi.num * den:
                 s.hi = iv
-            # independent of and further left than L: x < hi - 1, for a
-            # state with a pass-through parent (b < k)
-            elif idx != last and num * hi.den < (hi.num - hi.den) * den:
-                s.cl = _feed_generator(s.cl, idx - row - a, cells, iv, num, den, fl - a)
+    # Independent of and further right than R_a: x > lo + 1 on [a, b) iff
+    # on [a, fl + 2), the least such domain.  Only rows a > 0 are someone's
+    # T_R.  Row a's generator is on [a, k), counted from a.
+    for a in range(1, fl + 1):
+        lo = grid[a * w + fl + 2].lo.left
+        if num * lo.den > (lo.num + lo.den) * den:
+            grid[a * w] = _feed_generator(grid[a * w], k - a, cells, iv, num, den, fl - a)
+    # Independent of and further left than L_b: x < hi - 1 on [a, b) iff on
+    # [fl, b).  Only columns b < k are someone's T_L.  Column b's generator
+    # is on [0, b).
+    row, col = fl * w, k * w
+    for b in range(fl + 2, k):
+        hi = grid[row + b].hi.left
+        if num * hi.den < (hi.num - hi.den) * den:
+            grid[col + b] = _feed_generator(grid[col + b], b, cells, iv, num, den, fl)
 
 
 def _fill(grid: list, k: int) -> None:
@@ -286,24 +323,28 @@ def _fill(grid: list, k: int) -> None:
     A state's summary is written into its own fields: the best candidate
     size, its split point and side, and the tree nodes and occupied slots of
     every tree node of the state; the counts are sums over child edges of
-    the children's counts.  The children [a, i) and [i, b) of [a, b) lie
-    left of it in its row and below it in its column, so rows run bottom up
-    and columns left to right, and every child is summarised before its
-    parent reads it.  A state's conditional grids, on its own domain and read
-    only by its parents, are filled with it; the feed that created one
-    created its root.  A one-interval record carries its root's summary.
+    the children's counts.  The row and column generators are filled first.
+    Then the children [a, i) and [i, b) of [a, b) lie left of it in its row
+    and below it in its column, so rows run bottom up and columns left to
+    right, and every child is summarised before its parent reads it.  A
+    one-interval record answers for any of its domains in closed form.
     """
     w = k + 1
+    col = k * w
+    for i in range(1, k - 1):
+        c = grid[i * w]  # row i's generator, on [i, k)
+        if c.__class__ is list:
+            _fill(c, k - i)
+    for i in range(2, k):
+        c = grid[col + i]  # column i's generator, on [0, i)
+        if c.__class__ is list:
+            _fill(c, i)
     for a in range(k - 2, -1, -1):
         row = a * w  # grid[row + i] is the state on [a, i)
         for b in range(a + 2, k + 1):
             s = grid[row + b]
             if s is None:
                 continue
-            if s.cr.__class__ is list:
-                _fill(s.cr, b - a)
-            if s.cl.__class__ is list:
-                _fill(s.cl, b - a)
             if b == a + 2:
                 # no unit interval fits either length-1 child of [a, a + 2)
                 s.size, s.point, s.side = 0, a + 1, RIGHT_CANDIDATE
@@ -321,26 +362,28 @@ def _fill(grid: list, k: int) -> None:
                     nodes += tl.nodes
                     stored += 1 + tl.stored
                     l_size = 1
-                    c = tl.cl
+                    # A_L(i): the state on [a, i) of column i's generator
+                    c = grid[col + i]
                     if c is not None:
-                        # A_L(i): the root of its grid, or its record
-                        al = c[i - a] if c.__class__ is list else c
-                        l_size += al.size
-                        nodes += al.nodes
-                        stored += al.stored
+                        c = c[a * (i + 1) + i] if c.__class__ is list else c.at(a, i)
+                        if c is not None:
+                            l_size += c.size
+                            nodes += c.nodes
+                            stored += c.stored
                 tr = grid[i * w + b]
                 if tr is not None:
                     l_size += tr.size
                     nodes += tr.nodes
                     stored += 1 + tr.stored
                     r_size += 1
-                    c = tr.cr
+                    # A_R(i): the state on [0, b - i) of row i's generator
+                    c = grid[i * w]
                     if c is not None:
-                        # A_R(i): the root of its grid, or its record
-                        ar = c[b - i] if c.__class__ is list else c
-                        r_size += ar.size
-                        nodes += ar.nodes
-                        stored += ar.stored
+                        c = c[b - i] if c.__class__ is list else c.at(0, b - i)
+                        if c is not None:
+                            r_size += c.size
+                            nodes += c.nodes
+                            stored += c.stored
                 if r_size > best:
                     best, point, side = r_size, i, RIGHT_CANDIDATE
                 if l_size > best:
@@ -353,19 +396,20 @@ def _picks(grid: list, k: int) -> list[UnitInterval]:
 
     Follows (split point, side) from the root down through the children
     that form the winning candidate, taking one slot interval per visited
-    state of nonzero size; a one-interval record of nonzero size gives its
-    interval.
+    state of nonzero size; a one-interval record of nonzero size on the
+    visited domain gives its interval.
     """
     picks: list[UnitInterval] = []
     todo = [(grid, k + 1, 0, k)]  # a grid or a record, its row length, a domain in it
     while todo:
         grid, w, a, b = todo.pop()
         if grid.__class__ is _One:
-            if grid.size:
+            s = grid.at(a, b)
+            if s is not None and s.size:
                 picks.append(grid.lo)
             continue
         s = grid[a * w + b]
-        if not s.size:
+        if s is None or not s.size:
             continue
         i = s.point
         tl, tr = grid[a * w + i], grid[i * w + b]
@@ -374,15 +418,17 @@ def _picks(grid: list, k: int) -> list[UnitInterval]:
                 todo.append((grid, w, a, i))
             if tr is not None:
                 picks.append(tr.lo)
-                if tr.cr is not None:
-                    todo.append((tr.cr, b - i + 1, 0, b - i))
+                c = grid[i * w]  # row i's generator on [i, k)
+                if c is not None:
+                    todo.append((c, w - i, 0, b - i))
         else:
             if tr is not None:
                 todo.append((grid, w, i, b))
             if tl is not None:
                 picks.append(tl.hi)
-                if tl.cl is not None:
-                    todo.append((tl.cl, i - a + 1, 0, i - a))
+                c = grid[(w - 1) * w + i]  # column i's generator on [0, i)
+                if c is not None:
+                    todo.append((c, i + 1, a, i))
     return picks
 
 

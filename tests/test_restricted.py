@@ -126,19 +126,34 @@ class TestNoReferenceCycles:
                 gc.enable()
 
 
+def _generators(grid):
+    """(width, generator) of each row and column generator of ``grid`` fed
+    so far; every other cell is a state or empty.  With w = k + 1, row a's
+    generator, on [a, k), sits in the unused cell ``a * w`` and column b's,
+    on [0, b), in ``k * w + b``."""
+    w = isqrt(len(grid))
+    k = w - 1
+    for idx, c in enumerate(grid):
+        if c is None or isinstance(c, restricted._State):
+            continue
+        a, b = divmod(idx, w)
+        if b == 0 and 1 <= a <= k - 2:
+            yield k - a, c
+        else:
+            assert a == k and 2 <= b <= k - 1, (k, a, b)
+            yield b, c
+
+
 def _grid_cells(grid) -> int:
     """Cells of a generator's grid and of every grid below it; a
     one-interval record counts the (k + 1)**2 cells charged for it."""
-    total, w = len(grid), isqrt(len(grid))
-    for idx, s in enumerate(grid):
-        if s is None:
-            continue
-        a, b = divmod(idx, w)
-        for c in (s.cr, s.cl):
-            if isinstance(c, list):
-                total += _grid_cells(c)
-            elif c is not None:
-                total += (b - a + 1) ** 2
+    total = len(grid)
+    for width, c in _generators(grid):
+        if isinstance(c, list):
+            total += _grid_cells(c)
+        else:
+            assert isinstance(c, restricted._One)
+            total += (width + 1) ** 2
     return total
 
 
@@ -146,6 +161,28 @@ def _state(inst, a, b):
     """The state on [a, b) of the instance's root grid, or None."""
     a0, b0 = inst.domain.a, inst.domain.b
     return inst._grid[(a - a0) * (b0 - a0 + 1) + b - a0]
+
+
+def _row(inst, a):
+    """Row a's generator of the instance's root grid: A_R(a) of every state
+    [a, b), held on [a, b0) and counted from a."""
+    a0, b0 = inst.domain.a, inst.domain.b
+    return inst._grid[(a - a0) * (b0 - a0 + 1)]
+
+
+def _column(inst, b):
+    """Column b's generator of the instance's root grid: A_L(b) of every
+    state [a, b), held on [a0, b) and counted from a0."""
+    a0, b0 = inst.domain.a, inst.domain.b
+    return inst._grid[(b0 - a0) * (b0 - a0 + 1) + b - a0]
+
+
+def _at(gen, a, b):
+    """The summary of a filled generator's state on [a, b), counted from
+    its origin: a state, a one-interval record's summary, or None."""
+    if isinstance(gen, list):
+        return gen[a * isqrt(len(gen)) + b]
+    return None if gen is None else gen.at(a, b)
 
 
 class TestGridBudget:
@@ -195,10 +232,19 @@ class TestGridBudget:
         assert peak - held < 0.05 * held
 
 
-# The run's grid-cell count after every feed, recorded before conditional
-# generators were held as one-interval records: (seed, delta, n) of
+# The run's grid-cell count after every feed, with one conditional generator
+# per row and per column of each grid: (seed, delta, n) of
 # `random_intervals` on the wrapper domain.
 CELLS_AFTER_EVERY_FEED = {
+    (1, 7, 10): [100, 100, 294, 294, 294, 330, 330, 330, 560, 560],
+    (2, 8, 12): [121, 121, 121, 415, 415, 709, 1245, 1633, 1633, 2601, 3208, 3208],
+    (3, 6, 14): [81, 145, 145, 258, 258, 258, 258, 307, 539, 709, 709, 709, 941, 941],
+}
+
+# The same counts with one conditional generator per state, each on the
+# state's own domain; sharing the generators of a row or column never
+# charges more.
+CELLS_WITH_A_GENERATOR_PER_STATE = {
     (1, 7, 10): [100, 100, 553, 553, 553, 614, 614, 614, 1018, 1018],
     (2, 8, 12): [121, 121, 121, 945, 945, 1469, 2770, 4562, 4562, 9695, 11448, 11448],
     (3, 6, 14): [81, 230, 230, 428, 428, 489, 489, 599, 1108, 1609, 1657, 1657, 2166, 2166],
@@ -221,32 +267,43 @@ class TestOneIntervalGenerators:
 
     def test_record_summary_matches_an_allocated_grid(self):
         # an instance's root grid is always allocated; fed one interval at
-        # floor f on [0, k), its root summary is the one a record carries
-        for k in range(2, 15):
+        # floor f, its root summary on every [a, b) that holds the interval
+        # is the one a record of width k gives there, and a record has no
+        # state on a domain that does not hold it
+        for k in range(2, 13):
             for f in range(k - 1):
                 iv = u(Fraction(2 * f + 1, 2))
-                rep = run_on_stream(Domain(0, k), [iv])
-                one = restricted._One(iv, f, k, [0])
-                summary = (len(rep.output), rep.instances_touched, rep.peak_stored_intervals)
-                assert summary == (one.size, one.nodes, one.stored), (k, f)
+                one = restricted._One(iv, f)
+                for a in range(k - 1):
+                    for b in range(a + 2, k + 1):
+                        s = one.at(a, b)
+                        if not a <= f <= b - 2:
+                            assert s is None, (k, f, a, b)
+                            continue
+                        rep = run_on_stream(Domain(a, b), [iv])
+                        summary = (len(rep.output), rep.instances_touched, rep.peak_stored_intervals)
+                        assert summary == (s.size, s.nodes, s.stored), (k, f, a, b)
 
     def test_second_interval_turns_the_record_into_its_grid(self):
         # 2 is independent of and right of 0, the slot of the states [0, b)
-        # for b >= 4, so each of their A_R generators holds it alone; 5/2
-        # overlaps 2, so it reaches those generators and nothing new
+        # for b >= 4, so row 0's generator, their A_R on [0, 7), holds it
+        # alone; 5/2 overlaps 2, so it reaches that generator and nothing new
         inst = InstanceState(Domain(-1, 7))
         inst.feed(u(0))
         inst.feed(u(2))
-        for b in range(4, 8):
-            record = _state(inst, 0, b).cr
-            assert isinstance(record, restricted._One)
-            assert str(record.lo.left) == "2"
+        record = _row(inst, 0)
+        assert isinstance(record, restricted._One)
+        assert str(record.lo.left) == "2"
+        assert [record.at(0, b) is not None for b in range(2, 8)] == [False] * 2 + [True] * 4
+        assert [_row(inst, a) for a in (1, 2, 3, 4, 5)] == [None] * 5
+        assert [_column(inst, b) for b in range(1, 7)] == [None] * 6
         cells = inst._cells[0]
+        assert cells == 9 * 9 + 8 * 8
         inst.feed(u("5/2"))
         assert inst._cells[0] == cells  # charged once, at the first feed
-        for b in range(4, 8):
-            grid = _state(inst, 0, b).cr
-            assert isinstance(grid, list) and len(grid) == (b + 1) ** 2
+        grid = _row(inst, 0)
+        assert isinstance(grid, list) and len(grid) == 8 * 8
+        assert [grid[b] is not None for b in range(2, 8)] == [False] * 2 + [True] * 4
         assert [str(iv.left) for iv in inst.output().output] == ["0", "2"]
 
     @pytest.mark.parametrize("case", sorted(CELLS_AFTER_EVERY_FEED))
@@ -258,12 +315,71 @@ class TestOneIntervalGenerators:
             inst.feed(iv)
             seen.append(inst._cells[0])
         assert seen == CELLS_AFTER_EVERY_FEED[case]
+        per_state = CELLS_WITH_A_GENERATOR_PER_STATE[case]
+        assert all(new <= old for new, old in zip(seen, per_state, strict=True))
+
+
+def _cut_substream(stream, a, b, side):
+    """The intervals of ``stream`` inside [a, b) that the state [a, b) of a
+    root fed ``stream`` passes to its conditional child: "R" those right of
+    and independent of the left-most interval inside [a, b) so far, "L"
+    those left of and independent of the right-most."""
+    out, lo, hi = [], None, None
+    for iv in stream:
+        x = Fraction(iv.left.num, iv.left.den)
+        if not a <= x < b - 1:
+            continue
+        lo = x if lo is None else min(lo, x)
+        hi = x if hi is None else max(hi, x)
+        if (x > lo + 1) if side == "R" else (x < hi - 1):
+            out.append(iv)
+    return out
+
+
+class TestRowAndColumnGenerators:
+    """A_R(a) of every state [a, b) is row a's generator read on [a, b), and
+    A_L(b) of every [a, b) is column b's generator read on [a, b): for a
+    fixed a, whether an interval passes the slot test of [a, b) does not
+    depend on b, and for a fixed b not on a."""
+
+    def test_a_cut_generator_is_the_run_on_its_substream(self):
+        rng = SplitMix64(2030)
+        checked = 0
+        for j in range(60):
+            delta = 3 + j % 6
+            stream = random_intervals(rng, delta, 4 + rng.below(9))
+            inst = InstanceState(wrapper_domain(delta))
+            for iv in stream:
+                inst.feed(iv)
+            inst.output()
+            a0, b0 = inst.domain.a, inst.domain.b
+            for a in range(a0, b0 - 1):
+                for b in range(a + 2, b0 + 1):
+                    if _state(inst, a, b) is None:
+                        continue
+                    cuts = []
+                    if a > a0:
+                        cuts.append(("R", _at(_row(inst, a), 0, b - a)))
+                    if b < b0:
+                        cuts.append(("L", _at(_column(inst, b), a - a0, b - a0)))
+                    for side, got in cuts:
+                        sub = _cut_substream(stream, a, b, side)
+                        if not sub:
+                            assert got is None, (j, a, b, side)
+                            continue
+                        want = run_on_stream(Domain(a, b), sub)
+                        assert (got.size, got.nodes, got.stored) == (
+                            len(want.output), want.instances_touched, want.peak_stored_intervals,
+                        ), (j, a, b, side)
+                        checked += 1
+        assert checked > 900
 
 
 class TestFeedTraces:
     # The root's pass-through child T_R(i) is the state on [i, b) and T_L(i)
     # the state on [a, i); the slot R_i is the left-most interval T_R(i) was
-    # fed, L_i the right-most fed to T_L(i), and A_R(i) hangs off T_R(i).
+    # fed, L_i the right-most fed to T_L(i), and A_R(i) is row i's generator
+    # read on [i, b).
 
     def test_first_arrival_lands_in_matching_slots(self):
         inst = InstanceState(Domain(-1, 3))
@@ -278,14 +394,16 @@ class TestFeedTraces:
         inst.feed(u(0))
         inst.feed(u(2))
         # second interval is independent of and right of R_0
-        assert _state(inst, 0, 5).cr is not None
+        assert isinstance(_row(inst, 0), restricted._One)
+        assert _row(inst, 0).at(0, 5) is not None
         assert len(inst.output().output) == 2
 
     def test_overlapping_pair_is_not_propagated(self):
         inst = InstanceState(Domain(-1, 5))
         inst.feed(u(0))
         inst.feed(u("1/4"))
-        assert _state(inst, 0, 5).cr is None
+        assert _row(inst, 0) is None
+        assert all(gen is None for gen in inst._grid if not isinstance(gen, restricted._State))
         assert len(inst.output().output) == 1
 
 
