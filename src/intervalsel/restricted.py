@@ -72,7 +72,8 @@ it only sizes: the best candidate size, its split point and side, and the
 two counters below.  It fills each grid's row and column generators, then
 the grid shortest domain first, so it recurses only into nested grids: the
 budget below, not the domain length, bounds its depth.  It allocates
-nothing per state, so what the feed left is the run's memory.  The winning
+nothing per state but the integers of its counts, so what the feed left is
+nearly the run's memory.  The winning
 set is then rebuilt once, by following (split point, side) from the root,
 which takes one slot interval per visited state of the result.
 
@@ -147,8 +148,10 @@ def _charge(k: int, cells: list[int]) -> int:
     With w = k + 1, the grid is a flat list of w * w cells, and
     ``grid[a * w + b]`` is the state on [a, b), counted from the grid's
     origin, or None until an interval inside [a, b) reaches the generator;
-    its root, the state on [0, k), is at index k.  ``cells`` is the one-item
-    count of grid cells the run holds, raised here before any allocation.
+    its root, the state on [0, k), is at index k.  The cells ``a * w`` and
+    ``k * w + b``, which no state uses, hold the generators of row a and
+    column b.  ``cells`` is the one-item count of grid cells the run holds,
+    raised here before any allocation.
     """
     w = k + 1
     total = cells[0] + w * w
