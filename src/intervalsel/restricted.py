@@ -197,17 +197,13 @@ class _OneSummary:
         self.stored = self.nodes - 1
 
 
-@lru_cache(maxsize=None)
-def _one_summary(left: int, right: int) -> _OneSummary:
-    """The shared summary of a one-interval domain with this room on each side.
-
-    The sum of ``_one_interval_nodes`` takes about 2 us and a cached read
-    0.1 us.  The cache keeps one entry per distinct pair a process met, and
-    every pair has left + right <= k - 2 for a width k whose grid fits the
-    budget: at delta 11 the conditional widths are at most 12, so a run
-    meets at most 66 pairs however many trials it runs.
-    """
-    return _OneSummary(left, right)
+# The shared summary of a one-interval domain with this room on each side.
+# The sum of ``_one_interval_nodes`` takes about 2 us and a cached read
+# 0.1 us.  The cache keeps one entry per distinct pair a process met, and
+# every pair has left + right <= k - 2 for a width k whose grid fits the
+# budget: at delta 11 the conditional widths are at most 12, so a run meets
+# at most 66 pairs however many trials it runs.
+_one_summary = lru_cache(maxsize=None)(_OneSummary)
 
 
 class _One:
